@@ -6,10 +6,9 @@ from .analyzer import (ClassificationReport, classify, diagonal_symbol,
                        multiplier_consistency, offdiagonal_obstruction,
                        secular_obstruction, shift_limit_residual)
 from .dynamics import (DiagnosticsRow, FlowSeries, SimulationConfig,
-                       SimulationResult, SimulationState, christoffel,
-                       covariant_derivative, diagnostics, euler_rhs,
-                       flow_defect, lie_bracket, mub_rhs, reconstruct_flow,
-                       simulate, step_rk4)
+                       SimulationResult, christoffel, covariant_derivative,
+                       diagnostics, euler_rhs, flow_defect, lie_bracket,
+                       mub_rhs, reconstruct_flow, simulate, step_rk4)
 from .inertia import (InertiaSpec, MU_MINUS_DXX, NEG_DXX, IDENTITY, apply,
                       check_symmetry, invert, invert_mu_dxx_integral,
                       normalize)

@@ -42,7 +42,6 @@ __all__ = [
     "diagonal_symbol",
     "euler_mub_residual",
     "shift_limit_residual",
-    "constant_field_response",
     "SecularCheck",
     "secular_obstruction",
     "ConsistencyCheck",
@@ -110,8 +109,7 @@ def shift_limit_residual(spec: InertiaSpec, b: float, u: np.ndarray) -> float:
     with the mean-minus-second-derivative operator.  Requires a normalized
     operator (unit response on constants).
     """
-    ok, c = constant_field_response(spec)
-    if not ok or abs(c - 1.0) > 1e-12:
+    if abs(spec.symbol_at(0) - 1.0) > 1e-12:
         raise ValueError("operator must be normalized (unit response on constants); "
                          "apply normalize() first")
     au = inertia.apply(spec, u)
@@ -120,18 +118,6 @@ def shift_limit_residual(spec: InertiaSpec, b: float, u: np.ndarray) -> float:
     lhs = inertia.invert(spec, 2.0 * du + spectral.derivative(au, 1))
     rhs = inertia.invert(inertia.MU_MINUS_DXX, b * du + spectral.derivative(lu, 1))
     return float(np.max(np.abs(lhs - rhs)))
-
-
-def constant_field_response(spec: InertiaSpec, n: int = 32) -> tuple[bool, float]:
-    """Check that the operator maps constants to constants; return the factor.
-
-    Structural for multiplier operators (the factor is s_0); reported for
-    completeness since it is the first necessary condition on a candidate.
-    """
-    a1 = inertia.apply(spec, np.ones(n))
-    c = spectral.mean(a1)
-    is_const = float(np.max(np.abs(a1 - c))) <= 1e-12 * max(1.0, abs(c))
-    return is_const, c
 
 
 @dataclass

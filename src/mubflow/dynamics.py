@@ -35,7 +35,6 @@ __all__ = [
     "mub_rhs",
     "step_rk4",
     "SimulationConfig",
-    "SimulationState",
     "DiagnosticsRow",
     "DIAGNOSTICS_COLUMNS",
     "SimulationResult",
@@ -56,10 +55,20 @@ STATUS_BLOWUP = "blow-up suspected"
 STATUS_DIFFEO_LOST = "diffeomorphism lost"
 
 
+def _spectra(*fields) -> tuple:
+    # grid size, d/dx multiplier and the rfft of each field
+    if len({np.shape(f) for f in fields}) > 1:
+        raise ValueError("fields must share the same grid size")
+    n = np.size(fields[0])
+    return (n, spectral.derivative_multiplier(n),
+            *(np.fft.rfft(np.asarray(f, dtype=float)) for f in fields))
+
+
 def lie_bracket(u: np.ndarray, v: np.ndarray, dealias: bool = True) -> np.ndarray:
     """Vector-field bracket [u, v] = u v_x - u_x v."""
-    return (spectral.product(u, spectral.derivative(v, 1), dealias)
-            - spectral.product(spectral.derivative(u, 1), v, dealias))
+    n, d, cu, cv = _spectra(u, v)
+    c = spectral.quadratic([(1.0, cu, d * cv), (-1.0, d * cu, cv)], n, dealias)
+    return np.fft.irfft(c, n)
 
 
 def christoffel(spec: InertiaSpec, u: np.ndarray, v: np.ndarray, dealias: bool = True) -> np.ndarray:
@@ -69,13 +78,12 @@ def christoffel(spec: InertiaSpec, u: np.ndarray, v: np.ndarray, dealias: bool =
     The bracketed combination has zero mean for every even multiplier A, so
     the ``neg_dxx`` inverse applies on its mean-zero gauge.
     """
-    au = inertia.apply(spec, u)
-    av = inertia.apply(spec, v)
-    t = (2.0 * spectral.product(au, spectral.derivative(v, 1), dealias)
-         + 2.0 * spectral.product(av, spectral.derivative(u, 1), dealias)
-         + spectral.product(u, spectral.derivative(av, 1), dealias)
-         + spectral.product(v, spectral.derivative(au, 1), dealias))
-    return 0.5 * inertia.invert(spec, t)
+    n, d, cu, cv = _spectra(u, v)
+    s = spec.multipliers(n)
+    au, av = s * cu, s * cv
+    t = spectral.quadratic([(2.0, au, d * cv), (2.0, av, d * cu),
+                            (1.0, cu, d * av), (1.0, cv, d * au)], n, dealias)
+    return 0.5 * np.fft.irfft(inertia.divide(spec, t), n)
 
 
 def covariant_derivative(spec: InertiaSpec, u: np.ndarray, v: np.ndarray,
@@ -85,11 +93,15 @@ def covariant_derivative(spec: InertiaSpec, u: np.ndarray, v: np.ndarray,
 
 
 def euler_rhs(spec: InertiaSpec, u: np.ndarray, dealias: bool = True) -> np.ndarray:
-    """Velocity-form right-hand side u_t = -A^{-1}(2 (Au) u_x + u (Au)_x)."""
-    au = inertia.apply(spec, u)
-    t = (2.0 * spectral.product(au, spectral.derivative(u, 1), dealias)
-         + spectral.product(u, spectral.derivative(au, 1), dealias))
-    return -inertia.invert(spec, t)
+    """Velocity-form right-hand side u_t = -A^{-1}(2 (Au) u_x + u (Au)_x).
+
+    The bracket has zero mean analytically; for ``neg_dxx`` its round-off
+    mean is projected out by the inverse.
+    """
+    n, d, c = _spectra(u)
+    a = spec.multipliers(n) * c
+    t = spectral.quadratic([(2.0, a, d * c), (1.0, c, d * a)], n, dealias)
+    return -np.fft.irfft(inertia.divide(spec, t), n)
 
 
 def mub_rhs(b: float, u: np.ndarray, dealias: bool = True) -> np.ndarray:
@@ -98,10 +110,10 @@ def mub_rhs(b: float, u: np.ndarray, dealias: bool = True) -> np.ndarray:
     m = mu(u) - u_xx evolves by m_t = -(m_x u + b m u_x); applying the
     inverse of the mean-minus-second-derivative operator gives u_t.
     """
-    m = inertia.apply(inertia.MU_MINUS_DXX, u)
-    t = (spectral.product(spectral.derivative(m, 1), u, dealias)
-         + b * spectral.product(m, spectral.derivative(u, 1), dealias))
-    return -inertia.invert(inertia.MU_MINUS_DXX, t)
+    n, d, c = _spectra(u)
+    m = inertia.MU_MINUS_DXX.multipliers(n) * c
+    t = spectral.quadratic([(1.0, d * m, c), (b, m, d * c)], n, dealias)
+    return -np.fft.irfft(inertia.divide(inertia.MU_MINUS_DXX, t), n)
 
 
 def step_rk4(rhs, u: np.ndarray, dt: float) -> np.ndarray:
@@ -134,20 +146,6 @@ class SimulationConfig:
     dealias: bool = True
     blowup_threshold: float = 1e3
     track_flow: bool = False
-
-
-@dataclass
-class SimulationState:
-    """Velocity snapshot, optionally with its momentum m = A u."""
-
-    t: float
-    u: np.ndarray
-    m: np.ndarray | None = None
-
-    def momentum_defect(self, spec: InertiaSpec) -> float:
-        if self.m is None:
-            return 0.0
-        return float(np.max(np.abs(self.m - inertia.apply(spec, self.u))))
 
 
 @dataclass
@@ -352,16 +350,6 @@ class FlowSeries:
         return self.gx.min(axis=1)
 
 
-def _flow_jacobian(g: np.ndarray) -> np.ndarray:
-    n = g.shape[-1]
-    d = g - spectral.grid(n)
-    c = np.fft.rfft(d, axis=-1)
-    w = 2j * np.pi * np.arange(n // 2 + 1)
-    c = c * w
-    c[..., -1] = 0.0
-    return 1.0 + np.fft.irfft(c, n, axis=-1)
-
-
 def reconstruct_flow(u_series: np.ndarray, dt: float) -> FlowSeries:
     """Integrate the characteristic ODE g' = u(t, g) through a u time series.
 
@@ -391,7 +379,8 @@ def reconstruct_flow(u_series: np.ndarray, dt: float) -> FlowSeries:
         frames.append(g.copy())
     g_arr = np.asarray(frames)
     times = h * np.arange(g_arr.shape[0])
-    flow = FlowSeries(times=times, g=g_arr, gx=_flow_jacobian(g_arr))
+    gx = 1.0 + spectral.derivative(g_arr - spectral.grid(n), 1)
+    flow = FlowSeries(times=times, g=g_arr, gx=gx)
     bad = np.nonzero(flow.min_gx() <= 0.0)[0]
     if bad.size:
         raise ValueError(

@@ -34,6 +34,7 @@ __all__ = [
     "NEG_DXX",
     "IDENTITY",
     "apply",
+    "divide",
     "invert",
     "invert_mu_dxx_integral",
     "check_symmetry",
@@ -90,39 +91,31 @@ class InertiaSpec:
         table = tuple(sorted((int(k), float(s)) for k, s in symbol.items()))
         return cls(kind="diagonal", symbol=table)
 
-    def symbol_at(self, k: int) -> float:
-        """Symbol value s_{|k|}, including the scale factor."""
-        k = abs(int(k))
+    def _symbol(self, k: np.ndarray) -> np.ndarray:
+        # symbol values s_{|k|} for an array of mode numbers, scale included
+        k = np.abs(k)
+        w = (TWO_PI * k) ** 2
         if self.kind == "mu_minus_dxx":
-            base = 1.0 if k == 0 else (TWO_PI * k) ** 2
+            base = np.where(k == 0, 1.0, w)
         elif self.kind == "helmholtz":
-            base = 1.0 + self.lam * (TWO_PI * k) ** 2
+            base = 1.0 + self.lam * w
         elif self.kind == "neg_dxx":
-            base = (TWO_PI * k) ** 2
+            base = w
         else:
             table = dict(self.symbol)
-            if k not in table:
-                raise ValueError(f"diagonal symbol has no entry for |k| = {k}")
-            base = table[k]
+            missing = [int(j) for j in np.ravel(k) if int(j) not in table]
+            if missing:
+                raise ValueError(f"diagonal symbol has no entry for |k| = {missing[0]}")
+            base = np.vectorize(table.__getitem__, otypes=[float])(k)
         return self.scale * base
+
+    def symbol_at(self, k: int) -> float:
+        """Symbol value s_{|k|}, including the scale factor."""
+        return float(self._symbol(np.int64(k)))
 
     def multipliers(self, n: int) -> np.ndarray:
         """Symbol values s_0 .. s_{n/2} for an n-point grid."""
-        k = np.arange(n // 2 + 1)
-        if self.kind == "mu_minus_dxx":
-            s = (TWO_PI * k) ** 2
-            s[0] = 1.0
-        elif self.kind == "helmholtz":
-            s = 1.0 + self.lam * (TWO_PI * k) ** 2
-        elif self.kind == "neg_dxx":
-            s = (TWO_PI * k) ** 2
-        else:
-            table = dict(self.symbol)
-            missing = [int(j) for j in k if int(j) not in table]
-            if missing:
-                raise ValueError(f"diagonal symbol has no entry for |k| = {missing[0]}")
-            s = np.array([table[int(j)] for j in k], dtype=float)
-        return self.scale * s
+        return self._symbol(np.arange(n // 2 + 1))
 
     @property
     def invertible_everywhere(self) -> bool:
@@ -186,6 +179,17 @@ def apply(spec: InertiaSpec, u: np.ndarray) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(u) * s, u.size)
 
 
+def divide(spec: InertiaSpec, c: np.ndarray) -> np.ndarray:
+    """Solve A u = f on rfft coefficients: c (the rfft of f) over the symbol.
+
+    Where s_0 = 0 (``neg_dxx``) the mean of f is projected out, so the
+    result takes the mean-zero gauge.
+    """
+    s = spec.multipliers(2 * (np.size(c) - 1))
+    s[0] = s[0] or np.inf      # c_0 / inf = 0
+    return c / s
+
+
 def invert(spec: InertiaSpec, f: np.ndarray) -> np.ndarray:
     """Solve A u = f by dividing coefficients by the symbol.
 
@@ -194,19 +198,11 @@ def invert(spec: InertiaSpec, f: np.ndarray) -> np.ndarray:
     gauge.
     """
     f = np.asarray(f, dtype=float)
-    n = f.size
-    s = spec.multipliers(n)
-    c = np.fft.rfft(f)
-    if s[0] == 0.0:
-        if abs(c[0].real) / n > MEAN_TOL:
-            raise ValueError(
-                "input is outside the operator range: -d_xx requires zero mean, "
-                f"got mean {c[0].real / n:.3e}")
-        c[0] = 0.0
-        c[1:] = c[1:] / s[1:]
-    else:
-        c = c / s
-    return np.fft.irfft(c, n)
+    if not spec.invertible_everywhere and abs(spectral.mean(f)) > MEAN_TOL:
+        raise ValueError(
+            "input is outside the operator range: -d_xx requires zero mean, "
+            f"got mean {spectral.mean(f):.3e}")
+    return np.fft.irfft(divide(spec, np.fft.rfft(f)), f.size)
 
 
 def normalize(spec: InertiaSpec) -> InertiaSpec:

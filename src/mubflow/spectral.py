@@ -6,8 +6,11 @@ normalized coefficients c_k of u(x) = sum_k c_k exp(2*pi*i*k*x) in numpy
 FFT ordering (k = 0, 1, ..., N/2-1, -N/2, ..., -1), so c_0 equals the mean
 of u and the integer mode k carries physical wavenumber 2*pi*k.
 
-All quadratic products default to dealiased evaluation (3/2-rule zero
-padding); discrete integrals are (1/N)-weighted sums, exact for trig
+Every quadratic term goes through one kernel, :func:`quadratic`, which
+works on rfft coefficients and dealiases by default (3/2-rule zero
+padding).  The Nyquist cosine is split evenly between modes +-N/2 on
+padding, folded back into one slot on truncation, and dropped by odd
+derivatives.  Discrete integrals are (1/N)-weighted sums, exact for trig
 polynomials below the Nyquist mode.
 """
 
@@ -26,7 +29,9 @@ __all__ = [
     "transform",
     "inverse_transform",
     "mean",
+    "derivative_multiplier",
     "derivative",
+    "quadratic",
     "product",
     "inner_l2",
     "inner_mu",
@@ -80,62 +85,66 @@ def mean(f: np.ndarray) -> float:
     return float(np.mean(f))
 
 
-def derivative(f: np.ndarray, order: int = 1) -> np.ndarray:
-    """Spectral derivative of the given order (1, 2 or 3).
+def derivative_multiplier(n: int, order: int = 1) -> np.ndarray:
+    """rfft-space multiplier (2*pi*i*k)**order of d/dx on the n-point grid.
 
-    Mode k is multiplied by (2*pi*i*k)**order.  For odd orders the Nyquist
-    mode is dropped: its cosine has no representable odd derivative on the
-    grid.
+    For odd orders the Nyquist entry is zero: its cosine has no
+    representable odd derivative on the grid.
     """
     if order not in (1, 2, 3):
         raise ValueError("derivative order must be 1, 2 or 3")
-    f = np.asarray(f, dtype=float)
-    n = f.size
-    c = np.fft.rfft(f)
     w = (2j * np.pi * np.arange(n // 2 + 1)) ** order
-    c = c * w
     if order % 2:
-        c[-1] = 0.0
-    return np.fft.irfft(c, n)
+        w[-1] = 0.0
+    return w
 
 
-def _resample(f: np.ndarray, m: int) -> np.ndarray:
-    # exact trigonometric resampling of f onto the m-point grid (m >= n)
-    n = f.size
-    h = n // 2
-    c = np.fft.fft(f) / n
-    cf = np.zeros(m, dtype=complex)
+def derivative(f: np.ndarray, order: int = 1) -> np.ndarray:
+    """Spectral derivative of the given order (1, 2 or 3) along the last axis."""
+    f = np.asarray(f, dtype=float)
+    n = f.shape[-1]
+    w = derivative_multiplier(n, order)
+    return np.fft.irfft(np.fft.rfft(f) * w, n)
+
+
+def _pad(c: np.ndarray, m: int) -> np.ndarray:
+    # samples on the m-point grid (scaled by n/m) of the field whose n-point
+    # rfft is c, with the Nyquist cosine split evenly between +-n/2
+    h = c.size - 1
+    cf = np.zeros(m // 2 + 1, dtype=complex)
     cf[:h] = c[:h]
-    cf[-(h - 1):] = c[-(h - 1):]
     cf[h] = 0.5 * c[h]
-    cf[-h] = 0.5 * c[h]
-    return np.real(np.fft.ifft(cf) * m)
+    return np.fft.irfft(cf, m)
 
 
-def _truncate(values_fine: np.ndarray, n: int) -> np.ndarray:
-    # keep modes |k| <= n/2 of a fine-grid field, folding +-n/2 into the
-    # coarse Nyquist slot, and return samples on the n-point grid
-    m = values_fine.size
-    cf = np.fft.fft(values_fine) / m
+def quadratic(terms, n: int, dealias: bool = True) -> np.ndarray:
+    """rfft coefficients of sum_j a_j f_j g_j on the n-point grid.
+
+    ``terms`` holds triples (a_j, rfft(f_j), rfft(g_j)) of n-point fields.
+    With ``dealias`` each factor is zero-padded to the 3n/2 grid, the whole
+    sum is formed there, and one forward rfft is truncated back to
+    |k| <= n/2, folding +-n/2 into the Nyquist slot.  Without it the sum is
+    formed on the n-point grid itself.
+    """
+    if any(np.shape(x) != (n // 2 + 1,) for _, f, g in terms for x in (f, g)):
+        raise ValueError("fields must share the same grid size")
+    if not dealias:
+        return np.fft.rfft(sum(a * np.fft.irfft(f, n) * np.fft.irfft(g, n) for a, f, g in terms))
+    if n % 2:
+        raise ValueError("dealiased products need an even grid size")
+    m = 3 * n // 2
     h = n // 2
-    c = np.zeros(n, dtype=complex)
-    c[:h] = cf[:h]
-    c[-(h - 1):] = cf[-(h - 1):]
-    c[h] = cf[h] + cf[-h]
-    return np.real(np.fft.ifft(c) * n)
+    c = np.fft.rfft(sum(a * _pad(f, m) * _pad(g, m) for a, f, g in terms))[:h + 1]
+    c[h] = 2.0 * c[h].real
+    return c * (m / n)
 
 
 def product(f: np.ndarray, g: np.ndarray, dealias: bool = True) -> np.ndarray:
     """Pointwise product; dealiased via 3/2-rule zero padding by default."""
-    f = np.asarray(f, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if f.shape != g.shape:
+    if np.shape(f) != np.shape(g):
         raise ValueError("fields must share the same grid size")
-    if not dealias:
-        return f * g
-    n = f.size
-    m = 3 * n // 2
-    return _truncate(_resample(f, m) * _resample(g, m), n)
+    n = np.size(f)
+    return np.fft.irfft(quadratic([(1.0, np.fft.rfft(f), np.fft.rfft(g))], n, dealias), n)
 
 
 def inner_l2(f: np.ndarray, g: np.ndarray) -> float:

@@ -101,13 +101,6 @@ def test_shift_limit_requires_normalized_operator():
         cl.shift_limit_residual(doubled, 2.0, np.ones(64))
 
 
-def test_constant_field_response():
-    assert cl.constant_field_response(L) == (True, pytest.approx(1.0))
-    doubled = io.InertiaSpec(kind="mu_minus_dxx", scale=2.0)
-    assert cl.constant_field_response(doubled) == (True, pytest.approx(2.0))
-    assert cl.constant_field_response(io.InertiaSpec.helmholtz(0.7)) == (True, pytest.approx(1.0))
-
-
 # secular check ---------------------------------------------------------------
 
 def test_secular_only_at_zero():

@@ -214,6 +214,19 @@ def test_product_rejects_mismatched_sizes():
         sp.product(np.zeros(8), np.zeros(16))
 
 
+def test_nyquist_convention():
+    # split evenly between +-n/2 on padding, folded back on truncation,
+    # dropped by odd derivatives
+    n = 16
+    x = sp.grid(n)
+    nyq = np.cos(np.pi * n * x)
+    assert np.max(np.abs(sp.product(nyq, np.ones(n)) - nyq)) < 1e-14
+    half = 0.5 * np.cos(TWO_PI * (n // 2 - 1) * x)
+    assert np.max(np.abs(sp.product(nyq, np.cos(TWO_PI * x)) - half)) < 1e-14
+    assert np.max(np.abs(sp.derivative(nyq, 1))) < 1e-12
+    assert np.max(np.abs(sp.derivative(nyq, 2) + (np.pi * n) ** 2 * nyq)) < 1e-10
+
+
 # inner products --------------------------------------------------------------
 
 def test_inner_mu_constants():
