@@ -13,6 +13,7 @@ check failed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -27,8 +28,7 @@ from .dynamics import DIAGNOSTICS_COLUMNS, SimulationConfig
 
 __all__ = ["main", "load_config"]
 
-_CONFIG_KEYS = {"n", "dt", "t_end", "output_every", "form", "b", "inertia",
-                "initial", "dealias", "blowup_threshold", "track_flow"}
+_CONFIG_KEYS = {f.name for f in dataclasses.fields(SimulationConfig)}
 
 
 def _fmt(x: float) -> str:
@@ -53,10 +53,7 @@ def load_config(path: str | Path) -> SimulationConfig:
     kwargs = dict(raw)
     if "inertia" in kwargs:
         kwargs["inertia"] = inertia.InertiaSpec.from_dict(kwargs["inertia"])
-    try:
-        config = SimulationConfig(**kwargs)
-    except TypeError as exc:
-        raise ValueError(f"config: {exc}") from None
+    config = SimulationConfig(**kwargs)
     dynamics.validate_config(config)
     return config
 
@@ -88,29 +85,28 @@ def _cmd_simulate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    result = dynamics.simulate(config)
-
-    _write_atomic(out / "diagnostics.csv", _diagnostics_csv(result.rows))
-
     snapdir = out / "snapshots"
-    snapdir.mkdir(exist_ok=True)
+    snapdir.mkdir(parents=True, exist_ok=True)
+    # a rerun replaces the whole output set; summary.json is written last
+    for stale in [*snapdir.glob("u_*.csv"), *snapdir.glob("g_*.csv"), out / "summary.json"]:
+        stale.unlink(missing_ok=True)
     x = spectral.grid(config.n)
-    output_steps = sorted({0, len(result.times) - 1}
-                          | {s for s in range(len(result.times)) if s % config.output_every == 0})
-    for s in output_steps:
-        _write_atomic(snapdir / f"u_{s:06d}.csv", _field_csv(x, result.u_history[s], "u"))
-        if result.flow_history is not None:
-            _write_atomic(snapdir / f"g_{s:06d}.csv", _field_csv(x, result.flow_history[s], "g"))
+    written = []
 
+    def write_snapshot(step, u, g):
+        _write_atomic(snapdir / f"u_{step:06d}.csv", _field_csv(x, u, "u"))
+        if g is not None:
+            _write_atomic(snapdir / f"g_{step:06d}.csv", _field_csv(x, g, "g"))
+        written.append(step)
+
+    result = dynamics.simulate(config, observe=write_snapshot)
+    _write_atomic(out / "diagnostics.csv", _diagnostics_csv(result.rows))
     summary = {
         "status": result.status,
         "t_final": result.rows[-1].t,
-        "steps_completed": len(result.times) - 1,
+        "steps_completed": written[-1],
         "rows": len(result.rows),
-        "config": {**{k: getattr(config, k) for k in
-                      ("n", "dt", "t_end", "output_every", "form", "b",
-                       "dealias", "blowup_threshold", "track_flow")},
+        "config": {**{k: v for k, v in vars(config).items() if k not in ("inertia", "initial")},
                    "inertia": config.inertia.to_dict(),
                    "initial": config.initial},
     }

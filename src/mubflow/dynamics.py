@@ -20,6 +20,7 @@ well, evaluating u off-grid by exact trigonometric interpolation.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,7 +118,7 @@ def mub_rhs(b: float, u: np.ndarray, dealias: bool = True) -> np.ndarray:
 
 
 def step_rk4(rhs, u: np.ndarray, dt: float) -> np.ndarray:
-    """One classical 4-stage Runge-Kutta step of u_t = rhs(u)."""
+    """One classical 4-stage Runge-Kutta step of u_t = rhs(u); coupled systems stack u."""
     k1 = rhs(u)
     k2 = rhs(u + 0.5 * dt * k1)
     k3 = rhs(u + 0.5 * dt * k2)
@@ -167,46 +168,45 @@ class SimulationResult:
     config: SimulationConfig
     status: str
     rows: list[DiagnosticsRow]
-    times: np.ndarray          # every accepted step, spacing dt
-    u_history: np.ndarray      # (len(times), n)
+    times: np.ndarray | None   # every accepted step, spacing dt (None when observed)
+    u_history: np.ndarray | None   # (len(times), n)
     flow_history: np.ndarray | None = None  # unwrapped particle positions
 
 
 def _step_count(dt: float, t_end: float) -> int:
     steps = int(round(t_end / dt))
     if steps < 1 or abs(steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
-        raise ValueError("t_end must be an integer number of dt steps")
+        raise ValueError("t_end: must be an integer number of dt steps")
     return steps
 
 
-def validate_config(config: SimulationConfig) -> None:
-    """Raise ValueError naming the offending field on bad configuration."""
-    if config.n < 8 or config.n % 2:
-        raise ValueError("n: grid size must be even and at least 8")
-    if not (np.isfinite(config.dt) and config.dt > 0.0):
-        raise ValueError("dt: time step must be positive")
-    if not (np.isfinite(config.t_end) and config.t_end > 0.0):
-        raise ValueError("t_end: final time must be positive")
-    try:
-        _step_count(config.dt, config.t_end)
-    except ValueError as exc:
-        raise ValueError(f"t_end: {exc}") from None
-    if config.output_every < 1 or config.output_every != int(config.output_every):
-        raise ValueError("output_every: must be a positive integer")
+def validate_config(config: SimulationConfig) -> np.ndarray:
+    """Raise ValueError naming the offending field; return the initial field it builds."""
+    for name, low in (("n", 8), ("output_every", 1)):
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+            raise ValueError(f"{name}: must be an integer >= {low}, got {value!r}")
+    if config.n % 2:
+        raise ValueError("n: grid size must be even")
+    for name in ("dt", "t_end", "blowup_threshold"):
+        if not inertia.finite_real(getattr(config, name), name) > 0.0:
+            raise ValueError(f"{name}: must be positive")
+    _step_count(config.dt, config.t_end)
+    inertia.finite_real(config.b, "b")
+    for name in ("dealias", "track_flow"):
+        if not isinstance(getattr(config, name), (bool, np.bool_)):
+            raise ValueError(f"{name}: must be true or false")
     if config.form not in ("euler", "mub"):
         raise ValueError("form: must be 'euler' or 'mub'")
-    if not np.isfinite(config.b):
-        raise ValueError("b: must be a finite real number")
     if not isinstance(config.inertia, InertiaSpec):
         raise ValueError("inertia: must be an InertiaSpec")
-    if not (np.isfinite(config.blowup_threshold) and config.blowup_threshold > 0.0):
-        raise ValueError("blowup_threshold: must be positive")
     u0 = initial_field(config)
     if config.form == "euler" and config.inertia.kind == "neg_dxx":
         if abs(spectral.mean(u0)) > inertia.MEAN_TOL:
             raise ValueError(
                 "initial: -d_xx dynamics require mean-zero initial data "
                 f"(mean is {spectral.mean(u0):.3e})")
+    return u0
 
 
 def initial_field(config: SimulationConfig) -> np.ndarray:
@@ -216,23 +216,24 @@ def initial_field(config: SimulationConfig) -> np.ndarray:
         raise ValueError("initial: expected {'type': 'preset'|'trig', ...}")
     if spec["type"] == "preset":
         name = spec.get("name")
-        if name not in INITIAL_PRESETS:
+        if not isinstance(name, str) or name not in INITIAL_PRESETS:
             raise ValueError(f"initial.name: unknown preset {name!r}; "
                              f"available: {sorted(INITIAL_PRESETS)}")
         spec = INITIAL_PRESETS[name]
-    elif spec["type"] == "trig":
-        pass
-    else:
+    elif spec["type"] != "trig":
         raise ValueError(f"initial.type: must be 'preset' or 'trig', got {spec['type']!r}")
-    cos = spec.get("cos", [])
-    sin = spec.get("sin", [])
-    mean_value = float(spec.get("mean", 0.0))
-    max_mode = max(len(cos), len(sin))
-    if config.dealias and max_mode > config.n // 3:
+    cos, sin = spec.get("cos", []), spec.get("sin", [])
+    for key, values in (("cos", cos), ("sin", sin)):
+        if not isinstance(values, (list, tuple, np.ndarray)):
+            raise ValueError(f"initial.{key}: must be a list of real numbers")
+        for a in values:
+            inertia.finite_real(a, f"initial.{key}")
+    mean_value = inertia.finite_real(spec.get("mean", 0.0), "initial.mean")
+    if config.dealias and max(len(cos), len(sin)) > config.n // 3:
         raise ValueError("initial: modes must stay within n/3 when dealiasing is on")
     try:
         return spectral.trig_field(config.n, mean_value, cos, sin)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ValueError(f"initial: {exc}") from None
 
 
@@ -256,82 +257,67 @@ def diagnostics(spec: InertiaSpec, u: np.ndarray, t: float,
     )
 
 
-def _rk4_joint(rhs, u, g, dt):
-    # classical RK4 on the coupled system (u, g); the u stages do not
-    # depend on g, so the velocity update is identical with or without
-    # flow tracking
-    k1 = rhs(u)
-    u2 = u + 0.5 * dt * k1
-    k2 = rhs(u2)
-    u3 = u + 0.5 * dt * k2
-    k3 = rhs(u3)
-    u4 = u + dt * k3
-    k4 = rhs(u4)
-    u_new = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if g is None:
-        return u_new, None
-    l1 = spectral.evaluate(u, g)
-    l2 = spectral.evaluate(u2, g + 0.5 * dt * l1)
-    l3 = spectral.evaluate(u3, g + 0.5 * dt * l2)
-    l4 = spectral.evaluate(u4, g + dt * l3)
-    return u_new, g + (dt / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
-
-
-def simulate(config: SimulationConfig) -> SimulationResult:
+def simulate(config: SimulationConfig, observe=None) -> SimulationResult:
     """Run the configured dynamics to t_end with fixed-step RK4.
 
     Diagnostics rows are emitted at t = 0, every ``output_every`` steps and
-    at the final step.  The run stops early, with the status flagged rather
-    than raising, when the sup norm exceeds ``blowup_threshold``, a
-    non-finite value appears, or (with ``track_flow``) the flow map stops
-    being a diffeomorphism.
+    at the last accepted step.  The run stops early, with the status flagged
+    rather than raising, when the sup norm exceeds ``blowup_threshold`` or is
+    non-finite, or when a tracked flow map stops being a diffeomorphism.
+    ``observe(step, u, g)`` is called at every row (g None when untracked);
+    without it the result keeps every accepted step instead.
     """
-    validate_config(config)
-    u = initial_field(config)
-    if config.form == "mub":
-        b = config.b
-        spec_diag = inertia.MU_MINUS_DXX
-        def rhs(w):
-            return mub_rhs(b, w, config.dealias)
-    else:
-        spec = config.inertia
-        spec_diag = spec
-        def rhs(w):
-            return euler_rhs(spec, w, config.dealias)
+    u = validate_config(config)
+    spec_diag = inertia.MU_MINUS_DXX if config.form == "mub" else config.inertia
 
+    def rhs(w):
+        if config.form == "mub":
+            return mub_rhs(config.b, w, config.dealias)
+        return euler_rhs(config.inertia, w, config.dealias)
+
+    dt = float(config.dt)
     steps = _step_count(config.dt, config.t_end)
-    g = spectral.grid(config.n).copy() if config.track_flow else None
-    times = [0.0]
-    u_hist = [u.copy()]
-    g_hist = [g.copy()] if g is not None else None
-    rows = [diagnostics(spec_diag, u, 0.0, g)]
-    status = STATUS_COMPLETED
+    tracked = config.track_flow
+    if tracked:
+        # (u, g) stacked: u_t = rhs(u), g_t = u o g
+        state = np.stack((u, spectral.grid(config.n)))
+        def advance(w):
+            return np.stack((rhs(w[0]), spectral.evaluate(w[0], w[1])))
+    else:
+        state, advance = u, rhs
+    history = [state] if observe is None else None
+    rows = []
 
+    def emit(s, w):
+        u, g = (w[0], w[1]) if tracked else (w, None)
+        rows.append(diagnostics(spec_diag, u, s * dt, g))
+        if observe is not None:
+            observe(s, u, g)
+        return rows[-1]
+
+    emit(0, state)
+    status = STATUS_COMPLETED
     for s in range(1, steps + 1):
-        u, g = _rk4_joint(rhs, u, g, config.dt)
+        new = step_rk4(advance, state, dt)
+        u = new[0] if tracked else new
         if not np.all(np.isfinite(u)) or np.max(np.abs(u)) > config.blowup_threshold:
             status = STATUS_BLOWUP
+            if (s - 1) % config.output_every:
+                emit(s - 1, state)
             break
-        t = s * config.dt
-        times.append(t)
-        u_hist.append(u.copy())
-        if g_hist is not None:
-            g_hist.append(g.copy())
+        state = new
+        if history is not None:
+            history.append(state)
         if s % config.output_every == 0 or s == steps:
-            row = diagnostics(spec_diag, u, t, g)
-            rows.append(row)
-            if g is not None and row.min_gx <= 0.0:
+            if emit(s, state).min_gx <= 0.0:
                 status = STATUS_DIFFEO_LOST
                 break
 
-    return SimulationResult(
-        config=config,
-        status=status,
-        rows=rows,
-        times=np.asarray(times),
-        u_history=np.asarray(u_hist),
-        flow_history=np.asarray(g_hist) if g_hist is not None else None,
-    )
+    if history is None:
+        return SimulationResult(config, status, rows, None, None)
+    dense = np.asarray(history)
+    u_hist, g_hist = (dense[:, 0], dense[:, 1]) if tracked else (dense, None)
+    return SimulationResult(config, status, rows, dt * np.arange(len(dense)), u_hist, g_hist)
 
 
 @dataclass
@@ -365,18 +351,18 @@ def reconstruct_flow(u_series: np.ndarray, dt: float) -> FlowSeries:
         raise ValueError("u_series needs an even number of intervals (>= 2)")
     n = u_series.shape[1]
     h = 2.0 * dt
-    g = spectral.grid(n).copy()
-    frames = [g.copy()]
-    for i in range(intervals // 2):
-        u0 = u_series[2 * i]
-        um = u_series[2 * i + 1]
-        u1 = u_series[2 * i + 2]
-        l1 = spectral.evaluate(u0, g)
-        l2 = spectral.evaluate(um, g + 0.5 * h * l1)
-        l3 = spectral.evaluate(um, g + 0.5 * h * l2)
-        l4 = spectral.evaluate(u1, g + h * l3)
-        g = g + (h / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
-        frames.append(g.copy())
+
+    def rhs(w):
+        # w = (snapshot index, g): the index runs at 1/dt, so the stages of
+        # a step of length h read snapshots 2i, 2i+1, 2i+1, 2i+2
+        u = u_series[int(round(w[0]))]
+        return np.concatenate(([1.0 / dt], spectral.evaluate(u, w[1:])))
+
+    state = np.concatenate(([0.0], spectral.grid(n)))
+    frames = [state[1:]]
+    for _ in range(intervals // 2):
+        state = step_rk4(rhs, state, h)
+        frames.append(state[1:])
     g_arr = np.asarray(frames)
     times = h * np.arange(g_arr.shape[0])
     gx = 1.0 + spectral.derivative(g_arr - spectral.grid(n), 1)

@@ -20,6 +20,8 @@ the spectral division.
 
 from __future__ import annotations
 
+import numbers
+import sys
 from dataclasses import dataclass, replace
 from typing import Mapping
 
@@ -35,6 +37,7 @@ __all__ = [
     "IDENTITY",
     "apply",
     "divide",
+    "finite_real",
     "invert",
     "invert_mu_dxx_integral",
     "check_symmetry",
@@ -146,23 +149,36 @@ class InertiaSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "InertiaSpec":
+        """Build a spec from its JSON form; errors name the offending field."""
         if not isinstance(data, Mapping):
             raise ValueError("inertia: expected an object with a 'kind' entry")
         kind = data.get("kind")
         if kind not in _KINDS:
             raise ValueError(f"inertia.kind: expected one of {_KINDS}, got {kind!r}")
-        scale = float(data.get("scale", 1.0))
+        scale = finite_real(data.get("scale", 1.0), "inertia.scale")
         if kind == "helmholtz":
             if "lam" not in data:
                 raise ValueError("inertia.lam: required for the helmholtz kind")
-            return cls(kind=kind, lam=float(data["lam"]), scale=scale)
+            return cls(kind=kind, lam=finite_real(data["lam"], "inertia.lam"), scale=scale)
         if kind == "diagonal":
             raw = data.get("symbol")
             if not isinstance(raw, Mapping) or not raw:
                 raise ValueError("inertia.symbol: required table {|k|: value} for the diagonal kind")
-            table = tuple(sorted((int(k), float(s)) for k, s in raw.items()))
+            if not all(str(k).isdecimal() for k in raw):
+                raise ValueError("inertia.symbol: keys must be mode numbers |k|")
+            table = tuple(sorted((int(k), finite_real(s, f"inertia.symbol.{k}"))
+                                 for k, s in raw.items()))
             return cls(kind=kind, symbol=table, scale=scale)
         return cls(kind=kind, scale=scale)
+
+
+def finite_real(value, name: str) -> float:
+    """A finite real ``value`` as a float; else ValueError naming ``name`` (no bool/str coercion)."""
+    # abs(nan) <= max is false; comparing a huge int with a float is exact
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) \
+            and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise ValueError(f"{name}: must be a finite real number, got {value!r}")
 
 
 MU_MINUS_DXX = InertiaSpec.mu_minus_dxx()

@@ -1,8 +1,12 @@
 import json
+import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mubflow import cli
 from mubflow.dynamics import DIAGNOSTICS_COLUMNS
@@ -111,6 +115,102 @@ def test_simulate_tracked_flow_writes_g_snapshots(tmp_path):
     out = tmp_path / "flow"
     assert cli.main(["simulate", str(cfg), "--out", str(out), "--quiet"]) == 0
     assert sorted((out / "snapshots").glob("g_*.csv"))
+
+
+
+def snapshot_steps(out, prefix):
+    return sorted(int(p.stem[2:]) for p in (out / "snapshots").glob(f"{prefix}_*.csv"))
+
+
+@pytest.mark.parametrize("overrides, code, status", [
+    (dict(t_end=0.025, track_flow=True), 0, "completed"),
+    (json.loads((PRESETS / "burgers_shock.json").read_text()), 2, "diffeomorphism lost"),
+    # stopped by blow-up at step 473, between two output steps
+    (dict(inertia={"kind": "helmholtz", "lam": 0}, initial={"type": "trig", "sin": [0.1]},
+          n=64, dt=1e-3, t_end=1, output_every=20, blowup_threshold=0.1005), 2,
+     "blow-up suspected"),
+], ids=["completed", "diffeo_lost", "blowup"])
+def test_snapshots_match_diagnostics_rows(tmp_path, overrides, code, status):
+    cfg = write_config(tmp_path, **overrides)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", str(cfg), "--out", str(out), "--quiet"]) == code
+    summary = json.loads((out / "summary.json").read_text())
+    dt = summary["config"]["dt"]
+    assert summary["status"] == status
+    assert summary["t_final"] == summary["steps_completed"] * dt
+    header, data = read_csv(out / "diagnostics.csv")
+    row_steps = [round(t / dt) for t in data[:, header.index("t")]]
+    assert row_steps[-1] == summary["steps_completed"]
+    assert snapshot_steps(out, "u") == row_steps
+    assert snapshot_steps(out, "g") == (row_steps if summary["config"]["track_flow"] else [])
+
+
+def test_rerun_clears_stale_snapshots(tmp_path):
+    out = tmp_path / "out"
+    for t_end in (0.05, 0.02):
+        cfg = write_config(tmp_path, t_end=t_end)
+        assert cli.main(["simulate", str(cfg), "--out", str(out), "--quiet"]) == 0
+    assert snapshot_steps(out, "u") == [0, 10, 20]
+    assert json.loads((out / "summary.json").read_text())["steps_completed"] == 20
+
+
+@pytest.mark.parametrize("field, overrides", [
+    ("dt", {"dt": "0.001"}),
+    ("b", {"b": None}),
+    ("blowup_threshold", {"blowup_threshold": "x"}),
+    ("track_flow", {"track_flow": "no"}),
+    ("dealias", {"dealias": 0}),
+    ("output_every", {"output_every": True}),
+    ("n", {"n": 256.0}),
+    ("inertia.lam", {"inertia": {"kind": "helmholtz", "lam": "z"}}),
+])
+def test_simulate_rejects_mistyped_field(tmp_path, capsys, field, overrides):
+    cfg = write_config(tmp_path, **overrides)
+    out = tmp_path / "o"
+    assert cli.main(["simulate", str(cfg), "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+    assert not out.exists()
+
+
+FUZZ_BASE = {
+    "form": "euler", "b": 2.0, "inertia": {"kind": "helmholtz", "lam": 0.5},
+    "initial": {"type": "trig", "mean": 0.1, "cos": [0.2], "sin": [0.1]},
+    "n": 16, "dt": 0.01, "t_end": 0.02, "output_every": 1, "dealias": True,
+    "blowup_threshold": 1000.0, "track_flow": True,
+}
+FUZZ_PATHS = ([(k,) for k in FUZZ_BASE]
+              + [("inertia", k) for k in ("kind", "lam", "scale")]
+              + [("initial", k) for k in ("type", "name", "mean", "cos", "sin")]
+              + [("initial", "cos", 0)])
+# mistyped values only: a drawn float is non-integral and at least 1e-3 in
+# size, so it never turns dt or t_end into a long valid run
+MISTYPED = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=6),
+    st.lists(st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.text(max_size=3)),
+             max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(-3, 3), max_size=2),
+    st.floats(-3.0, 3.0).filter(lambda x: abs(x) >= 1e-3 and x != int(x)),
+    st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(path=st.sampled_from(FUZZ_PATHS), value=MISTYPED)
+def test_fuzzed_config_keeps_the_exit_contract(path, value):
+    config = json.loads(json.dumps(FUZZ_BASE))
+    *parents, key = path
+    node = config
+    for p in parents:
+        node = node[p]
+    node[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "config.json", Path(tmp) / "out"
+        cfg.write_text(json.dumps(config))
+        code = cli.main(["simulate", str(cfg), "--out", str(out), "--quiet"])
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert not out.exists()
+        else:
+            assert (out / "summary.json").is_file()
 
 
 def test_classify_command_writes_report(tmp_path, capsys):

@@ -284,6 +284,43 @@ def test_validate_config_names_field():
             n=24, initial={"type": "trig", "cos": [0.0] * 8 + [0.1]}))
 
 
+
+BURGERS = dict(n=64, t_end=1.0, output_every=20, inertia=io.IDENTITY,
+               initial={"type": "trig", "sin": [0.1]})
+
+
+@pytest.mark.parametrize("status, overrides", [
+    # the final step is off the output cadence
+    (dy.STATUS_COMPLETED, dict(n=64, t_end=0.025, output_every=10, track_flow=True)),
+    (dy.STATUS_BLOWUP, dict(BURGERS, blowup_threshold=0.1005)),
+    (dy.STATUS_DIFFEO_LOST, dict(BURGERS, track_flow=True)),
+], ids=["completed", "blowup", "diffeo_lost"])
+def test_observer_gets_the_diagnostics_rows(status, overrides):
+    cfg = dy.SimulationConfig(**overrides)
+    dense = dy.simulate(cfg)
+    seen = []
+    streamed = dy.simulate(cfg, observe=lambda s, u, g: seen.append(
+        (s, u.copy(), None if g is None else g.copy())))
+
+    assert streamed.status == dense.status == status
+    assert streamed.times is None and streamed.u_history is None
+    assert streamed.flow_history is None
+    last = len(dense.times) - 1
+    steps = sorted({0, last} | set(range(0, last + 1, cfg.output_every)))
+    assert [s for s, _, _ in seen] == steps
+    assert [round(r.t / cfg.dt) for r in dense.rows] == steps
+
+    def table(res):
+        return np.array([list(vars(r).values()) for r in res.rows])
+    assert np.array_equal(table(streamed), table(dense), equal_nan=True)
+    for s, u, g in seen:
+        assert np.array_equal(u, dense.u_history[s])
+        if cfg.track_flow:
+            assert np.array_equal(g, dense.flow_history[s])
+        else:
+            assert g is None and dense.flow_history is None
+
+
 # flow maps -----------------------------------------------------------------------
 
 def test_flow_of_zero_velocity_is_identity():
