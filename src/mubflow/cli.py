@@ -45,6 +45,8 @@ def load_config(path: str | Path) -> SimulationConfig:
         raise ValueError(f"config: cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"config: invalid JSON in {path}: {exc}") from None
+    except RecursionError:
+        raise ValueError(f"config: JSON in {path} is nested too deeply") from None
     if not isinstance(raw, dict):
         raise ValueError("config: top level must be an object")
     unknown = sorted(set(raw) - _CONFIG_KEYS)

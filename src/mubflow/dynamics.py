@@ -215,12 +215,15 @@ def initial_field(config: SimulationConfig) -> np.ndarray:
     if not isinstance(spec, dict) or "type" not in spec:
         raise ValueError("initial: expected {'type': 'preset'|'trig', ...}")
     if spec["type"] == "preset":
+        inertia.reject_unknown(spec, ("type", "name"), "initial")
         name = spec.get("name")
         if not isinstance(name, str) or name not in INITIAL_PRESETS:
             raise ValueError(f"initial.name: unknown preset {name!r}; "
                              f"available: {sorted(INITIAL_PRESETS)}")
         spec = INITIAL_PRESETS[name]
-    elif spec["type"] != "trig":
+    elif spec["type"] == "trig":
+        inertia.reject_unknown(spec, ("type", "mean", "cos", "sin"), "initial")
+    else:
         raise ValueError(f"initial.type: must be 'preset' or 'trig', got {spec['type']!r}")
     cos, sin = spec.get("cos", []), spec.get("sin", [])
     for key, values in (("cos", cos), ("sin", sin)):

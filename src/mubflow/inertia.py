@@ -38,6 +38,7 @@ __all__ = [
     "apply",
     "divide",
     "finite_real",
+    "reject_unknown",
     "invert",
     "invert_mu_dxx_integral",
     "check_symmetry",
@@ -45,6 +46,8 @@ __all__ = [
 ]
 
 _KINDS = ("mu_minus_dxx", "helmholtz", "neg_dxx", "diagonal")
+# JSON fields read by a kind besides "kind" and "scale"
+_KIND_FIELDS = {"helmholtz": ("lam",), "diagonal": ("symbol",)}
 
 
 @dataclass(frozen=True)
@@ -155,6 +158,7 @@ class InertiaSpec:
         kind = data.get("kind")
         if kind not in _KINDS:
             raise ValueError(f"inertia.kind: expected one of {_KINDS}, got {kind!r}")
+        reject_unknown(data, ("kind", "scale", *_KIND_FIELDS.get(kind, ())), "inertia")
         scale = finite_real(data.get("scale", 1.0), "inertia.scale")
         if kind == "helmholtz":
             if "lam" not in data:
@@ -170,6 +174,13 @@ class InertiaSpec:
                                  for k, s in raw.items()))
             return cls(kind=kind, symbol=table, scale=scale)
         return cls(kind=kind, scale=scale)
+
+
+def reject_unknown(data: Mapping, fields, name: str) -> None:
+    """Raise ValueError naming ``name.key`` for the first key of ``data`` not in ``fields``."""
+    unknown = sorted(set(data) - set(fields), key=str)
+    if unknown:
+        raise ValueError(f"{name}.{unknown[0]}: unknown field")
 
 
 def finite_real(value, name: str) -> float:

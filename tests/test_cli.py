@@ -172,6 +172,52 @@ def test_simulate_rejects_mistyped_field(tmp_path, capsys, field, overrides):
     assert not out.exists()
 
 
+def test_simulate_rejects_deeply_nested_json(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text('{"initial": ' + "[" * 100000 + "]" * 100000 + "}")
+    out = tmp_path / "o"
+    assert cli.main(["simulate", str(cfg), "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith("error: config: ")
+    assert not out.exists()
+
+
+DIAGONAL = {str(k): 1.0 + k * k for k in range(65)}
+
+
+@pytest.mark.parametrize("field, overrides", [
+    ("inertia.lamda", {"inertia": {"kind": "helmholtz", "lam": 0.5, "lamda": 3},
+                       "initial": {"type": "trig", "sin": [0.1], "amp": 2}}),
+    ("inertia.lam", {"inertia": {"kind": "mu_minus_dxx", "lam": 0.5}}),
+    ("inertia.lam", {"inertia": {"kind": "neg_dxx", "lam": 0.5}}),
+    ("inertia.lam", {"inertia": {"kind": "diagonal", "symbol": DIAGONAL, "lam": 1.0}}),
+    ("inertia.symbol", {"inertia": {"kind": "helmholtz", "lam": 0.5, "symbol": {"0": 1.0}}}),
+    ("inertia.Scale", {"inertia": {"kind": "mu_minus_dxx", "Scale": 2.0}}),
+    ("initial.amp", {"initial": {"type": "trig", "sin": [0.1], "amp": 2}}),
+    ("initial.name", {"initial": {"type": "trig", "name": "cos1"}}),
+    ("initial.mean", {"initial": {"type": "preset", "name": "mucauchy", "mean": 0.1}}),
+    ("initial.cos", {"initial": {"type": "preset", "name": "cos1", "cos": [0.1]}}),
+])
+def test_simulate_rejects_unknown_nested_field(tmp_path, capsys, field, overrides):
+    cfg = write_config(tmp_path, **overrides)
+    out = tmp_path / "o"
+    assert cli.main(["simulate", str(cfg), "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {field}: unknown field")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("overrides", [
+    {"inertia": {"kind": "mu_minus_dxx", "scale": 2.0}},
+    {"inertia": {"kind": "neg_dxx", "scale": 1.0}, "initial": {"type": "trig", "sin": [0.1]}},
+    {"inertia": {"kind": "helmholtz", "lam": 0.5, "scale": 2.0}},
+    {"inertia": {"kind": "diagonal", "symbol": DIAGONAL, "scale": 0.5}},
+    {"initial": {"type": "trig", "mean": 0.1, "cos": [0.2], "sin": [0.1]}},
+    {"initial": {"type": "preset", "name": "cos1"}},
+], ids=["mu_minus_dxx", "neg_dxx", "helmholtz", "diagonal", "trig", "preset"])
+def test_simulate_accepts_every_field_it_reads(tmp_path, overrides):
+    cfg = write_config(tmp_path, t_end=0.01, **overrides)
+    assert cli.main(["simulate", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 0
+
+
 FUZZ_BASE = {
     "form": "euler", "b": 2.0, "inertia": {"kind": "helmholtz", "lam": 0.5},
     "initial": {"type": "trig", "mean": 0.1, "cos": [0.2], "sin": [0.1]},

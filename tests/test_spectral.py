@@ -317,3 +317,89 @@ def test_evaluate_matches_samples_and_is_periodic():
     assert np.max(np.abs(sp.evaluate(f, x) - f)) < 1e-12
     pts = rng.uniform(0.0, 1.0, 17)
     assert np.max(np.abs(sp.evaluate(f, pts + 3.0) - sp.evaluate(f, pts))) < 1e-11
+
+
+def table_oracle(f, x, chunk=256):
+    # the exact sum term by term, e^{2 pi i k x} built by repeated
+    # multiplication over k = 1..n/2-1; chunked over points to bound memory
+    n = f.size
+    c = np.fft.rfft(f) / n
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    out = np.empty(flat.size)
+    for lo in range(0, flat.size, chunk):
+        xs = flat[lo:lo + chunk]
+        phases = np.multiply.accumulate(
+            np.broadcast_to(np.exp(2j * np.pi * xs), (n // 2 - 1, xs.size)), axis=0)
+        out[lo:lo + chunk] = (c[0].real + 2.0 * np.real(c[1:n // 2] @ phases)
+                              + c[n // 2].real * np.cos(np.pi * n * xs))
+    return out.reshape(x.shape)
+
+
+@pytest.mark.parametrize("n", [4, 8, 64, 1024, 4096])
+def test_evaluate_matches_table_oracle(n):
+    rng = np.random.default_rng(n)
+    f = rng.standard_normal(n)
+    tol = 1e-12 * np.sum(np.abs(np.fft.fft(f) / n))
+    points = [
+        sp.grid(n),
+        rng.uniform(0.0, 1.0, 257),
+        rng.uniform(-3.0, 0.0, 64),
+        rng.uniform(1.0, 5.0, 64),
+        np.float64(rng.uniform(-1.0, 2.0)),
+        rng.uniform(-1.0, 2.0, (7, 9)),
+    ]
+    for x in points:
+        got = sp.evaluate(f, x)
+        assert got.shape == np.shape(x)
+        assert np.max(np.abs(got - table_oracle(f, x))) <= tol
+    assert np.max(np.abs(sp.evaluate(f, sp.grid(n)) - f)) <= tol
+
+
+@pytest.mark.parametrize("n", [4, 8, 64, 1024])
+def test_evaluate_nyquist_only_field(n):
+    f = np.cos(np.pi * np.arange(n))  # (-1)^j: only the Nyquist coefficient
+    x = np.random.default_rng(1).uniform(-2.0, 3.0, 50)
+    assert np.max(np.abs(sp.evaluate(f, x) - np.cos(np.pi * n * x))) <= 1e-12
+    assert np.max(np.abs(sp.evaluate(f, x) - table_oracle(f, x))) <= 1e-12
+
+
+def test_evaluate_memory_is_sublinear_in_the_table():
+    import tracemalloc
+    n = 4096
+    rng = np.random.default_rng(3)
+    f = rng.standard_normal(n)
+    x = rng.uniform(0.0, 1.0, n)
+    sp.evaluate(f, x)  # warm up first-call allocations
+    tracemalloc.start()
+    try:
+        sp.evaluate(f, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the (n/2 - 1) x n complex phase table alone is 134 MB
+    assert peak <= 16e6
+
+
+def test_evaluate_passes_nan_through():
+    f = np.full(16, np.nan)
+    assert np.all(np.isnan(sp.evaluate(f, [0.1, 0.7])))
+    g = sp.trig_field(16, 0.0, [1.0])
+    out = sp.evaluate(g, [np.nan, 0.25])
+    assert np.isnan(out[0]) and abs(out[1]) < 1e-15
+
+
+@pytest.mark.parametrize("size", [0, 2, 5, 7])
+def test_evaluate_and_derivative_reject_bad_grid_size(size):
+    f = np.arange(float(size))
+    with pytest.raises(ValueError, match="even"):
+        sp.evaluate(f, 0.3)
+    with pytest.raises(ValueError, match="even"):
+        sp.derivative(f)
+    with pytest.raises(ValueError, match="even"):
+        sp.derivative(np.zeros((3, size)), 2)
+
+
+def test_evaluate_rejects_a_stack_of_fields():
+    with pytest.raises(ValueError, match="one-dimensional"):
+        sp.evaluate(np.zeros((2, 8)), 0.3)
