@@ -18,7 +18,6 @@ import json
 import math
 import os
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -29,6 +28,8 @@ from .dynamics import DIAGNOSTICS_COLUMNS, SimulationConfig
 __all__ = ["main", "load_config"]
 
 _CONFIG_KEYS = {f.name for f in dataclasses.fields(SimulationConfig)}
+# rows per write of a streamed snapshot CSV
+_SNAPSHOT_BLOCK = 512
 
 
 def _fmt(x: float) -> str:
@@ -37,10 +38,11 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def load_config(path: str | Path) -> SimulationConfig:
+def load_config(path: str | os.PathLike) -> SimulationConfig:
     """Parse and validate a JSON run configuration."""
     try:
-        raw = json.loads(Path(path).read_text())
+        with open(path) as fh:
+            raw = json.loads(fh.read())
     except OSError as exc:
         raise ValueError(f"config: cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
@@ -60,10 +62,10 @@ def load_config(path: str | Path) -> SimulationConfig:
     return config
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+def _write_atomic(path: str, text: str) -> None:
+    with open(path + ".tmp", "w") as fh:
+        fh.write(text)
+    os.replace(path + ".tmp", path)
 
 
 def _diagnostics_csv(rows) -> str:
@@ -73,11 +75,14 @@ def _diagnostics_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _field_csv(x: np.ndarray, values: np.ndarray, name: str) -> str:
-    lines = [f"x,{name}"]
-    for xj, vj in zip(x, values):
-        lines.append(f"{_fmt(xj)},{_fmt(vj)}")
-    return "\n".join(lines) + "\n"
+def _write_field_csv(path: str, x: np.ndarray, values: np.ndarray, name: str) -> None:
+    # streamed in row blocks, then renamed; "{:.17g}" of a float is _fmt
+    with open(path + ".tmp", "w") as fh:
+        fh.write(f"x,{name}\n")
+        for i in range(0, len(x), _SNAPSHOT_BLOCK):
+            rows = zip(x[i:i + _SNAPSHOT_BLOCK].tolist(), values[i:i + _SNAPSHOT_BLOCK].tolist())
+            fh.write("".join(f"{a:.17g},{b:.17g}\n" for a, b in rows))
+    os.replace(path + ".tmp", path)
 
 
 def _cmd_simulate(args) -> int:
@@ -86,23 +91,27 @@ def _cmd_simulate(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    out = Path(args.out)
-    snapdir = out / "snapshots"
-    snapdir.mkdir(parents=True, exist_ok=True)
+    # plain str paths: pathlib would intern every new snapshot file name
+    out = args.out
+    snapdir = os.path.join(out, "snapshots")
+    os.makedirs(snapdir, exist_ok=True)
     # a rerun replaces the whole output set; summary.json is written last
-    for stale in [*snapdir.glob("u_*.csv"), *snapdir.glob("g_*.csv"), out / "summary.json"]:
-        stale.unlink(missing_ok=True)
+    stale = [os.path.join(snapdir, f) for f in os.listdir(snapdir)
+             if f.startswith(("u_", "g_")) and f.endswith(".csv")]
+    for path in [*stale, os.path.join(out, "summary.json")]:
+        if os.path.isfile(path):
+            os.remove(path)
     x = spectral.grid(config.n)
     written = []
 
     def write_snapshot(step, u, g):
-        _write_atomic(snapdir / f"u_{step:06d}.csv", _field_csv(x, u, "u"))
+        _write_field_csv(os.path.join(snapdir, f"u_{step:06d}.csv"), x, u, "u")
         if g is not None:
-            _write_atomic(snapdir / f"g_{step:06d}.csv", _field_csv(x, g, "g"))
+            _write_field_csv(os.path.join(snapdir, f"g_{step:06d}.csv"), x, g, "g")
         written.append(step)
 
     result = dynamics.simulate(config, observe=write_snapshot)
-    _write_atomic(out / "diagnostics.csv", _diagnostics_csv(result.rows))
+    _write_atomic(os.path.join(out, "diagnostics.csv"), _diagnostics_csv(result.rows))
     summary = {
         "status": result.status,
         "t_final": result.rows[-1].t,
@@ -112,12 +121,12 @@ def _cmd_simulate(args) -> int:
                    "inertia": config.inertia.to_dict(),
                    "initial": config.initial},
     }
-    _write_atomic(out / "summary.json", json.dumps(summary, indent=2) + "\n")
+    _write_atomic(os.path.join(out, "summary.json"), json.dumps(summary, indent=2) + "\n")
 
     if not args.quiet:
         print(f"status: {result.status}")
         print(f"t_final: {result.rows[-1].t:.6g}  rows: {len(result.rows)}")
-        print(f"wrote {out / 'diagnostics.csv'}")
+        print(f"wrote {os.path.join(out, 'diagnostics.csv')}")
     return 0 if result.status == dynamics.STATUS_COMPLETED else 2
 
 
@@ -125,11 +134,11 @@ def _cmd_classify(args) -> int:
     report = classify(args.b, max_k=args.max_k, trial_modes=args.modes)
     text = report.to_json()
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_atomic(out / "report.json", text + "\n")
+        os.makedirs(args.out, exist_ok=True)
+        path = os.path.join(args.out, "report.json")
+        _write_atomic(path, text + "\n")
         if not args.quiet:
-            print(f"wrote {out / 'report.json'}")
+            print(f"wrote {path}")
     if not args.quiet:
         print(f"b = {report.b:g}: {report.verdict}"
               + (f" ({report.reason})" if report.reason else ""))
@@ -157,13 +166,10 @@ def _cmd_check_inverse(args) -> int:
 
 
 def _cmd_residual(args) -> int:
-    if args.mode == 0:
-        print("error: --mode must be a nonzero integer", file=sys.stderr)
-        return 1
     n = args.n
     k = abs(args.mode)
     if k >= n // 6:
-        print("error: --mode too large for the grid (need |k| < n/6)", file=sys.stderr)
+        print("error: --mode: too large for the grid (need |k| < n/6)", file=sys.stderr)
         return 1
     u = spectral.trig_field(n, 0.0, [0.0] * (k - 1) + [1.0])
     r7 = euler_mub_residual(inertia.MU_MINUS_DXX, args.b, u)
@@ -171,6 +177,21 @@ def _cmd_residual(args) -> int:
     print(f"rhs_residual: {_fmt(r7)}")
     print(f"shift_limit_residual: {_fmt(r8)}")
     return 0
+
+
+# argument limits per subcommand: dest -> (test, message); a value that
+# fails its test gives exit 1 with "error: --flag: message"
+_FINITE = (math.isfinite, "must be a finite real number")
+_AT_LEAST_1 = (lambda v: v >= 1, "must be an integer >= 1")
+_GRID = (lambda v: v >= 4 and v % 2 == 0, "must be an even integer >= 4")
+
+
+def _bad_argument(args) -> str | None:
+    for dest, (test, message) in args.limits.items():
+        value = getattr(args, dest)
+        if not test(value):
+            return f"--{dest.replace('_', '-')}: {message}, got {value!r}"
+    return None
 
 
 def main(argv=None) -> int:
@@ -184,7 +205,7 @@ def main(argv=None) -> int:
     p.add_argument("config", help="JSON configuration file")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--quiet", action="store_true")
-    p.set_defaults(func=_cmd_simulate)
+    p.set_defaults(func=_cmd_simulate, limits={})
 
     p = sub.add_parser("classify", help="metric-compatibility report for a parameter b")
     p.add_argument("--b", type=float, required=True)
@@ -192,7 +213,8 @@ def main(argv=None) -> int:
     p.add_argument("--modes", type=int, default=6)
     p.add_argument("--out", default=None, help="directory for report.json")
     p.add_argument("--quiet", action="store_true")
-    p.set_defaults(func=_cmd_classify)
+    p.set_defaults(func=_cmd_classify,
+                   limits={"b": _FINITE, "max_k": _AT_LEAST_1, "modes": _AT_LEAST_1})
 
     p = sub.add_parser("check-inverse",
                        help="cross-validate the nested-integral inverse against spectral division")
@@ -200,7 +222,9 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--quiet", action="store_true")
-    p.set_defaults(func=_cmd_check_inverse)
+    p.set_defaults(func=_cmd_check_inverse,
+                   limits={"n": _GRID, "seed": (lambda v: v >= 0, "must be an integer >= 0"),
+                           "trials": _AT_LEAST_1})
 
     p = sub.add_parser("residual",
                        help="print both right-hand-side residuals on a single cosine mode")
@@ -208,9 +232,15 @@ def main(argv=None) -> int:
     p.add_argument("--mode", type=int, required=True)
     p.add_argument("--n", type=int, default=256)
     p.add_argument("--quiet", action="store_true")
-    p.set_defaults(func=_cmd_residual)
+    p.set_defaults(func=_cmd_residual,
+                   limits={"b": _FINITE, "mode": (lambda v: v != 0, "must be a nonzero integer"),
+                           "n": _GRID})
 
     args = parser.parse_args(argv)
+    error = _bad_argument(args)
+    if error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
     return args.func(args)
 
 

@@ -10,11 +10,17 @@ Two equivalent right-hand sides are provided:
   derivative operator on m_x u + b m u_x.  b = 2 reproduces ``euler_rhs``
   with that same operator.
 
+Both are grid wrappers over one coefficient-space map,
+``coefficient_rhs(form, n, ...)``, which takes rfft(u) to rfft(u_t) with
+its derivative, symbol and inverse-symbol tables built once.
+
 The Lie bracket convention is [u, v] = u v_x - u_x v; only the
 antisymmetric half of the covariant derivative depends on this choice.
-Time integration is fixed-step classical RK4.  Flow maps g solve the
-characteristic ODE g' = u(t, g) with g(0) = id and are advanced by RK4 as
-well, evaluating u off-grid by exact trigonometric interpolation.
+Time integration is fixed-step classical RK4 on rfft coefficients, with
+the right-hand side's tables built once per run and one inverse rfft per
+accepted step.  Flow maps g solve the characteristic ODE g' = u(t, g)
+with g(0) = id and are advanced by RK4 as well, evaluating u off-grid
+from the coefficients by exact trigonometric interpolation.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ __all__ = [
     "lie_bracket",
     "christoffel",
     "covariant_derivative",
+    "coefficient_rhs",
     "euler_rhs",
     "mub_rhs",
     "step_rk4",
@@ -93,28 +100,48 @@ def covariant_derivative(spec: InertiaSpec, u: np.ndarray, v: np.ndarray,
     return 0.5 * lie_bracket(u, v, dealias) + christoffel(spec, u, v, dealias)
 
 
-def euler_rhs(spec: InertiaSpec, u: np.ndarray, dealias: bool = True) -> np.ndarray:
-    """Velocity-form right-hand side u_t = -A^{-1}(2 (Au) u_x + u (Au)_x).
+def coefficient_rhs(form: str, n: int, spec: InertiaSpec = inertia.MU_MINUS_DXX,
+                    b: float = 2.0, dealias: bool = True):
+    """The map rfft(u) -> rfft(u_t) on the n-point grid, its tables built once.
 
-    The bracket has zero mean analytically; for ``neg_dxx`` its round-off
-    mean is projected out by the inverse.
+    ``form`` "euler" is the velocity form of ``spec``,
+    u_t = -A^{-1}(2 (Au) u_x + u (Au)_x); "mub" is the mu-b family at ``b``,
+    m_t = -(m_x u + b m u_x) with m = mu(u) - u_xx, resolved for u_t (``spec``
+    is then the mean-minus-second-derivative operator).  The bracket has
+    zero mean analytically; for ``neg_dxx`` its round-off mean is projected
+    out by the inverse.
     """
-    n, d, c = _spectra(u)
-    a = spec.multipliers(n) * c
-    t = spectral.quadratic([(2.0, a, d * c), (1.0, c, d * a)], n, dealias)
-    return -np.fft.irfft(inertia.divide(spec, t), n)
+    if form == "mub":
+        spec = inertia.MU_MINUS_DXX
+    d = spectral.derivative_multiplier(n)
+    s = spec.multipliers(n)
+    inverse = inertia.divisors(spec, n)
+
+    def euler(c):
+        a = s * c
+        return -spectral.quadratic([(2.0, a, d * c), (1.0, c, d * a)], n, dealias) / inverse
+
+    def mub(c):
+        m = s * c
+        return -spectral.quadratic([(1.0, d * m, c), (b, m, d * c)], n, dealias) / inverse
+
+    return mub if form == "mub" else euler
+
+
+def euler_rhs(spec: InertiaSpec, u: np.ndarray, dealias: bool = True) -> np.ndarray:
+    """Velocity-form right-hand side u_t = -A^{-1}(2 (Au) u_x + u (Au)_x) on the grid."""
+    n, _, c = _spectra(u)
+    return np.fft.irfft(coefficient_rhs("euler", n, spec, dealias=dealias)(c), n)
 
 
 def mub_rhs(b: float, u: np.ndarray, dealias: bool = True) -> np.ndarray:
-    """mu-b family right-hand side, resolved for u_t.
+    """mu-b family right-hand side, resolved for u_t, on the grid.
 
     m = mu(u) - u_xx evolves by m_t = -(m_x u + b m u_x); applying the
     inverse of the mean-minus-second-derivative operator gives u_t.
     """
-    n, d, c = _spectra(u)
-    m = inertia.MU_MINUS_DXX.multipliers(n) * c
-    t = spectral.quadratic([(1.0, d * m, c), (b, m, d * c)], n, dealias)
-    return -np.fft.irfft(inertia.divide(inertia.MU_MINUS_DXX, t), n)
+    n, _, c = _spectra(u)
+    return np.fft.irfft(coefficient_rhs("mub", n, b=b, dealias=dealias)(c), n)
 
 
 def step_rk4(rhs, u: np.ndarray, dt: float) -> np.ndarray:
@@ -182,6 +209,11 @@ def _step_count(dt: float, t_end: float) -> int:
 
 def validate_config(config: SimulationConfig) -> np.ndarray:
     """Raise ValueError naming the offending field; return the initial field it builds."""
+    return _prepare(config)[0]
+
+
+def _prepare(config: SimulationConfig) -> tuple:
+    # validate the config; return its initial field and coefficient RHS
     for name, low in (("n", 8), ("output_every", 1)):
         value = getattr(config, name)
         if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
@@ -192,7 +224,7 @@ def validate_config(config: SimulationConfig) -> np.ndarray:
         if not inertia.finite_real(getattr(config, name), name) > 0.0:
             raise ValueError(f"{name}: must be positive")
     _step_count(config.dt, config.t_end)
-    inertia.finite_real(config.b, "b")
+    b = inertia.finite_real(config.b, "b")
     for name in ("dealias", "track_flow"):
         if not isinstance(getattr(config, name), (bool, np.bool_)):
             raise ValueError(f"{name}: must be true or false")
@@ -200,13 +232,18 @@ def validate_config(config: SimulationConfig) -> np.ndarray:
         raise ValueError("form: must be 'euler' or 'mub'")
     if not isinstance(config.inertia, InertiaSpec):
         raise ValueError("inertia: must be an InertiaSpec")
+    try:
+        rhs = coefficient_rhs(config.form, config.n, config.inertia, b, config.dealias)
+    except ValueError as exc:
+        # a diagonal table that stops short of |k| = n/2
+        raise ValueError(f"inertia.symbol: {exc}") from None
     u0 = initial_field(config)
     if config.form == "euler" and config.inertia.kind == "neg_dxx":
         if abs(spectral.mean(u0)) > inertia.MEAN_TOL:
             raise ValueError(
                 "initial: -d_xx dynamics require mean-zero initial data "
                 f"(mean is {spectral.mean(u0):.3e})")
-    return u0
+    return u0, rhs
 
 
 def initial_field(config: SimulationConfig) -> np.ndarray:
@@ -263,64 +300,71 @@ def diagnostics(spec: InertiaSpec, u: np.ndarray, t: float,
 def simulate(config: SimulationConfig, observe=None) -> SimulationResult:
     """Run the configured dynamics to t_end with fixed-step RK4.
 
-    Diagnostics rows are emitted at t = 0, every ``output_every`` steps and
-    at the last accepted step.  The run stops early, with the status flagged
-    rather than raising, when the sup norm exceeds ``blowup_threshold`` or is
+    The RK4 state is rfft(u), followed in a tracked run by the flow map g;
+    u itself comes from one inverse rfft per accepted step.  Diagnostics
+    rows are emitted at t = 0, every ``output_every`` steps and at the last
+    accepted step.  The run stops early, with the status flagged rather
+    than raising, when the sup norm exceeds ``blowup_threshold`` or is
     non-finite, or when a tracked flow map stops being a diffeomorphism.
     ``observe(step, u, g)`` is called at every row (g None when untracked);
     without it the result keeps every accepted step instead.
     """
-    u = validate_config(config)
+    u, rhs = _prepare(config)
     spec_diag = inertia.MU_MINUS_DXX if config.form == "mub" else config.inertia
-
-    def rhs(w):
-        if config.form == "mub":
-            return mub_rhs(config.b, w, config.dealias)
-        return euler_rhs(config.inertia, w, config.dealias)
-
+    n = config.n
     dt = float(config.dt)
     steps = _step_count(config.dt, config.t_end)
     tracked = config.track_flow
     if tracked:
-        # (u, g) stacked: u_t = rhs(u), g_t = u o g
-        state = np.stack((u, spectral.grid(config.n)))
+        # one real vector: rfft(u) as n + 2 floats, then g; g_t = u o g
+        state = np.concatenate((np.fft.rfft(u).view(float), spectral.grid(n)))
+        g = state[n + 2:]
+
         def advance(w):
-            return np.stack((rhs(w[0]), spectral.evaluate(w[0], w[1])))
+            c = w[:n + 2].view(complex)
+            return np.concatenate((rhs(c).view(float), spectral.evaluate_rfft(c, w[n + 2:])))
+
+        def fields(w):
+            return np.fft.irfft(w[:n + 2].view(complex), n), w[n + 2:]
     else:
-        state, advance = u, rhs
-    history = [state] if observe is None else None
+        g = None
+        state, advance = np.fft.rfft(u), rhs
+
+        def fields(w):
+            return np.fft.irfft(w, n), None
+    history = [(u, g)] if observe is None else None
     rows = []
 
-    def emit(s, w):
-        u, g = (w[0], w[1]) if tracked else (w, None)
+    def emit(s, u, g):
         rows.append(diagnostics(spec_diag, u, s * dt, g))
         if observe is not None:
             observe(s, u, g)
         return rows[-1]
 
-    emit(0, state)
+    emit(0, u, g)
     status = STATUS_COMPLETED
     for s in range(1, steps + 1):
         new = step_rk4(advance, state, dt)
-        u = new[0] if tracked else new
-        if not np.all(np.isfinite(u)) or np.max(np.abs(u)) > config.blowup_threshold:
+        u_new, g_new = fields(new)
+        if not np.all(np.isfinite(u_new)) or np.max(np.abs(u_new)) > config.blowup_threshold:
             status = STATUS_BLOWUP
             if (s - 1) % config.output_every:
-                emit(s - 1, state)
+                emit(s - 1, u, g)
             break
-        state = new
+        state, u, g = new, u_new, g_new
         if history is not None:
-            history.append(state)
+            # g is a view into the state; a copy lets the state go
+            history.append((u, None if g is None else g.copy()))
         if s % config.output_every == 0 or s == steps:
-            if emit(s, state).min_gx <= 0.0:
+            if emit(s, u, g).min_gx <= 0.0:
                 status = STATUS_DIFFEO_LOST
                 break
 
     if history is None:
         return SimulationResult(config, status, rows, None, None)
-    dense = np.asarray(history)
-    u_hist, g_hist = (dense[:, 0], dense[:, 1]) if tracked else (dense, None)
-    return SimulationResult(config, status, rows, dt * np.arange(len(dense)), u_hist, g_hist)
+    u_hist = np.asarray([u for u, _ in history])
+    g_hist = np.asarray([g for _, g in history]) if tracked else None
+    return SimulationResult(config, status, rows, dt * np.arange(len(history)), u_hist, g_hist)
 
 
 @dataclass

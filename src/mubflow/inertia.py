@@ -36,6 +36,7 @@ __all__ = [
     "NEG_DXX",
     "IDENTITY",
     "apply",
+    "divisors",
     "divide",
     "finite_real",
     "reject_unknown",
@@ -206,15 +207,21 @@ def apply(spec: InertiaSpec, u: np.ndarray) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(u) * s, u.size)
 
 
-def divide(spec: InertiaSpec, c: np.ndarray) -> np.ndarray:
-    """Solve A u = f on rfft coefficients: c (the rfft of f) over the symbol.
+def divisors(spec: InertiaSpec, n: int) -> np.ndarray:
+    """Symbol values s_0 .. s_{n/2} to divide by, with s_0 = 0 taken as inf.
 
-    Where s_0 = 0 (``neg_dxx``) the mean of f is projected out, so the
-    result takes the mean-zero gauge.
+    Dividing by them solves A u = f on rfft coefficients; where s_0 = 0
+    (``neg_dxx``) the mean of f is projected out, so the result takes the
+    mean-zero gauge.
     """
-    s = spec.multipliers(2 * (np.size(c) - 1))
+    s = spec.multipliers(n)
     s[0] = s[0] or np.inf      # c_0 / inf = 0
-    return c / s
+    return s
+
+
+def divide(spec: InertiaSpec, c: np.ndarray) -> np.ndarray:
+    """Solve A u = f on rfft coefficients: c (the rfft of f) over :func:`divisors`."""
+    return c / divisors(spec, 2 * (np.size(c) - 1))
 
 
 def invert(spec: InertiaSpec, f: np.ndarray) -> np.ndarray:

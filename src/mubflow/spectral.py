@@ -13,9 +13,10 @@ padding, folded back into one slot on truncation, and dropped by odd
 derivatives.  Discrete integrals are (1/N)-weighted sums, exact for trig
 polynomials below the Nyquist mode.
 
-Off-grid evaluation, :func:`evaluate`, sums the Fourier series exactly as
-baby-step/giant-step powers of e^{2 pi i x}: O(N len(x)) flops in one
-complex GEMM and O(sqrt(N) len(x)) memory.
+Off-grid evaluation, :func:`evaluate` from samples or
+:func:`evaluate_rfft` from rfft coefficients, sums the Fourier series
+exactly as baby-step/giant-step powers of e^{2 pi i x}: O(N len(x)) flops
+in one complex GEMM and O(sqrt(N) len(x)) memory.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ __all__ = [
     "Antiderivative",
     "antiderivative_from_zero",
     "evaluate",
+    "evaluate_rfft",
     "trig_field",
     "random_trig_field",
 ]
@@ -219,18 +221,29 @@ def evaluate(f: np.ndarray, x) -> np.ndarray:
 
     Exact summation of the truncated Fourier series (Nyquist mode taken as
     a cosine); x may have any shape and lie outside [0, 1), the series is
-    1-periodic, and the result has the shape of x.  With z = e^{2 pi i x}
-    the modes k = aJ + j + 1 (J ~ sqrt(n/2)) are summed as baby steps
-    z^1..z^J times giant steps z^{aJ}: O(n len(x)) flops in one complex
-    GEMM and O(sqrt(n) len(x)) memory.
+    1-periodic, and the result has the shape of x.  This is
+    :func:`evaluate_rfft` on ``rfft(f)``.
     """
     f = np.asarray(f, dtype=float)
-    x = np.asarray(x, dtype=float)
     if f.ndim != 1:
         raise ValueError("field must be one-dimensional")
-    n = _grid_size(f)
-    h = n // 2
-    c = np.fft.rfft(f) / n
+    _grid_size(f)
+    return evaluate_rfft(np.fft.rfft(f), x)
+
+
+def evaluate_rfft(c: np.ndarray, x) -> np.ndarray:
+    """Evaluate at arbitrary points the n-point field whose rfft is c.
+
+    With z = e^{2 pi i x} the modes k = aJ + j + 1 (J ~ sqrt(n/2)) are
+    summed as baby steps z^1..z^J times giant steps z^{aJ}: O(n len(x))
+    flops in one complex GEMM and O(sqrt(n) len(x)) memory.
+    """
+    x = np.asarray(x, dtype=float)
+    if np.ndim(c) != 1 or np.size(c) < 3:
+        raise ValueError("coefficients must be the rfft of an even grid of at least 4 points")
+    h = np.size(c) - 1
+    n = 2 * h
+    c = c / n
     # C[a, j] is the coefficient of mode k = a*J + j + 1, zero past h - 1;
     # J = ceil(sqrt(h - 1)) baby steps, A = ceil((h - 1)/J) giant steps
     J = math.isqrt(h - 2) + 1
@@ -238,9 +251,11 @@ def evaluate(f: np.ndarray, x) -> np.ndarray:
     C = np.zeros(A * J, dtype=complex)
     C[:h - 1] = c[1:h]
     C = C.reshape(A, J)
-    baby = _powers(np.exp((2j * np.pi) * x.ravel()), J + 1)[1:]
-    giant = _powers(baby[-1], A)
-    s = np.einsum("ap,ap->p", giant, C @ baby).reshape(x.shape)
+    baby = _powers(np.exp((2j * np.pi) * x.ravel()), J + 1)
+    # the giant steps are built after the baby steps are freed
+    zJ, partial = baby[-1].copy(), C @ baby[1:]
+    del baby
+    s = np.einsum("ap,ap->p", _powers(zJ, A), partial).reshape(x.shape)
     return c[0].real + 2.0 * s.real + c[h].real * np.cos(np.pi * n * x)
 
 

@@ -154,6 +154,28 @@ def test_rerun_clears_stale_snapshots(tmp_path):
     assert json.loads((out / "summary.json").read_text())["steps_completed"] == 20
 
 
+def test_simulate_rejects_short_diagonal_symbol(tmp_path, capsys):
+    cfg = write_config(tmp_path, n=16, initial={"type": "trig", "cos": [0.2]},
+                       inertia={"kind": "diagonal", "symbol": {"0": 1, "1": 2}})
+    out = tmp_path / "out"
+    assert cli.main(["simulate", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: inertia.symbol:") and "|k| = 2" in err
+    assert not out.exists()
+
+
+def test_snapshot_writer_matches_fmt(tmp_path):
+    n = 4096
+    values = np.random.default_rng(3).standard_normal(n) * 10.0 ** np.arange(-8, 8).repeat(n // 16)
+    values[:5] = [np.nan, -0.0, np.inf, 5e-324, -np.inf]
+    x = np.linspace(0.0, 1.0, n, endpoint=False)
+    path = tmp_path / "u_000000.csv"
+    cli._write_field_csv(str(path), x, values, "u")
+    expected = "x,u\n" + "".join(f"{cli._fmt(a)},{cli._fmt(b)}\n" for a, b in zip(x, values))
+    assert path.read_bytes() == expected.encode()
+    assert not list(tmp_path.glob("*.tmp"))
+
+
 @pytest.mark.parametrize("field, overrides", [
     ("dt", {"dt": "0.001"}),
     ("b", {"b": None}),
@@ -309,3 +331,33 @@ def test_residual_command_metric_case(capsys):
 def test_residual_rejects_zero_mode(capsys):
     assert cli.main(["residual", "--b", "2", "--mode", "0"]) == 1
     assert "nonzero" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["classify", "--b", "nan"], "--b"),
+    (["classify", "--b", "inf"], "--b"),
+    (["classify", "--b", "1", "--modes", "0"], "--modes"),
+    (["classify", "--b", "1", "--modes", "-1"], "--modes"),
+    (["classify", "--b", "1", "--max-k", "0"], "--max-k"),
+    (["residual", "--b", "nan", "--mode", "1"], "--b"),
+    (["residual", "--b", "2", "--mode", "1", "--n", "13"], "--n"),
+    (["check-inverse", "--n", "7"], "--n"),
+    (["check-inverse", "--n", "0"], "--n"),
+    (["check-inverse", "--n", "-4"], "--n"),
+    (["check-inverse", "--trials", "0"], "--trials"),
+    (["check-inverse", "--seed", "-1"], "--seed"),
+])
+def test_bad_argument_exits_1_naming_the_flag(tmp_path, capsys, argv, flag):
+    out = tmp_path / "report"
+    if argv[0] == "classify":
+        argv = [*argv, "--out", str(out)]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {flag}: ") and not captured.out
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", ["4", "6"])
+def test_check_inverse_smallest_grids(capsys, n):
+    assert cli.main(["check-inverse", "--n", n, "--trials", "2"]) == 0
+    assert "ok" in capsys.readouterr().out

@@ -321,6 +321,48 @@ def test_observer_gets_the_diagnostics_rows(status, overrides):
             assert g is None and dense.flow_history is None
 
 
+def _grid_space_run(cfg):
+    # the reference loop: RK4 on grid samples through the public grid RHS
+    def rhs(w):
+        if cfg.form == "mub":
+            return dy.mub_rhs(cfg.b, w, cfg.dealias)
+        return dy.euler_rhs(cfg.inertia, w, cfg.dealias)
+
+    state = dy.initial_field(cfg)
+    if cfg.track_flow:
+        state = np.stack((state, sp.grid(cfg.n)))
+        def advance(w):
+            return np.stack((rhs(w[0]), sp.evaluate(w[0], w[1])))
+    else:
+        advance = rhs
+    history = [state]
+    for _ in range(round(cfg.t_end / cfg.dt)):
+        history.append(dy.step_rk4(advance, history[-1], cfg.dt))
+    return np.asarray(history)
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(inertia=L),
+    dict(inertia=io.InertiaSpec.helmholtz(0.02), dealias=False),
+    dict(inertia=io.NEG_DXX, initial={"type": "trig", "cos": [0.3, 0.1], "sin": [0.2]}),
+    dict(inertia=io.InertiaSpec.diagonal({k: 1.0 + 0.7 * k ** 1.5 for k in range(33)})),
+    dict(form="mub", b=-1.3),
+    dict(form="mub", b=3.5, dealias=False, track_flow=True),
+    dict(track_flow=True),
+], ids=["mu_minus_dxx", "helmholtz-aliased", "neg_dxx", "diagonal", "mub", "mub-aliased-tracked",
+        "tracked"])
+def test_coefficient_stepping_matches_grid_loop(overrides):
+    cfg = dy.SimulationConfig(**{**dict(n=64, dt=2e-3, t_end=0.1), **overrides})
+    res = dy.simulate(cfg)
+    ref = _grid_space_run(cfg)
+    u_ref = ref[:, 0] if cfg.track_flow else ref
+    assert res.status == dy.STATUS_COMPLETED and res.u_history.shape == u_ref.shape
+    assert np.array_equal(res.u_history[0], u_ref[0])
+    assert np.max(np.abs(res.u_history - u_ref)) <= 1e-13 * np.max(np.abs(u_ref))
+    if cfg.track_flow:
+        assert np.max(np.abs(res.flow_history - ref[:, 1])) <= 1e-13
+
+
 # flow maps -----------------------------------------------------------------------
 
 def test_flow_of_zero_velocity_is_identity():
