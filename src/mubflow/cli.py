@@ -39,7 +39,7 @@ def _fmt(x: float) -> str:
 
 
 def load_config(path: str | os.PathLike) -> SimulationConfig:
-    """Parse and validate a JSON run configuration."""
+    """Parse a JSON run configuration; :func:`dynamics.simulate` validates it."""
     try:
         with open(path) as fh:
             raw = json.loads(fh.read())
@@ -57,9 +57,7 @@ def load_config(path: str | os.PathLike) -> SimulationConfig:
     kwargs = dict(raw)
     if "inertia" in kwargs:
         kwargs["inertia"] = inertia.InertiaSpec.from_dict(kwargs["inertia"])
-    config = SimulationConfig(**kwargs)
-    dynamics.validate_config(config)
-    return config
+    return SimulationConfig(**kwargs)
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -94,23 +92,34 @@ def _cmd_simulate(args) -> int:
     # plain str paths: pathlib would intern every new snapshot file name
     out = args.out
     snapdir = os.path.join(out, "snapshots")
-    os.makedirs(snapdir, exist_ok=True)
-    # a rerun replaces the whole output set; summary.json is written last
-    stale = [os.path.join(snapdir, f) for f in os.listdir(snapdir)
-             if f.startswith(("u_", "g_")) and f.endswith(".csv")]
-    for path in [*stale, os.path.join(out, "summary.json")]:
-        if os.path.isfile(path):
-            os.remove(path)
-    x = spectral.grid(config.n)
+    x = None
     written = []
 
     def write_snapshot(step, u, g):
+        nonlocal x
+        if x is None:
+            # step 0 comes after validation, so a rejected config leaves no
+            # --out; a rerun replaces the whole output set, and summary.json
+            # is written last
+            x = spectral.grid(u.size)
+            os.makedirs(snapdir, exist_ok=True)
+            stale = [os.path.join(snapdir, f) for f in os.listdir(snapdir)
+                     if f.startswith(("u_", "g_")) and f.endswith(".csv")]
+            for path in [*stale, os.path.join(out, "summary.json")]:
+                if os.path.isfile(path):
+                    os.remove(path)
         _write_field_csv(os.path.join(snapdir, f"u_{step:06d}.csv"), x, u, "u")
         if g is not None:
             _write_field_csv(os.path.join(snapdir, f"g_{step:06d}.csv"), x, g, "g")
         written.append(step)
 
-    result = dynamics.simulate(config, observe=write_snapshot)
+    try:
+        result = dynamics.simulate(config, observe=write_snapshot)
+    except ValueError as exc:
+        if x is not None:
+            raise
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     _write_atomic(os.path.join(out, "diagnostics.csv"), _diagnostics_csv(result.rows))
     summary = {
         "status": result.status,
@@ -130,8 +139,19 @@ def _cmd_simulate(args) -> int:
     return 0 if result.status == dynamics.STATUS_COMPLETED else 2
 
 
+def _b_overflowed(values: dict) -> bool:
+    # a huge --b overflows the witnesses: the flag's error, not NaN output
+    bad = [name for name, v in values.items() if v is not None and not math.isfinite(v)]
+    if bad:
+        print(f"error: --b: too large, {bad[0]} is not finite", file=sys.stderr)
+    return bool(bad)
+
+
 def _cmd_classify(args) -> int:
-    report = classify(args.b, max_k=args.max_k, trial_modes=args.modes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = classify(args.b, max_k=args.max_k, trial_modes=args.modes)
+    if _b_overflowed({c.name: c.witness for c in report.checks}):
+        return 1
     text = report.to_json()
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -172,8 +192,11 @@ def _cmd_residual(args) -> int:
         print("error: --mode: too large for the grid (need |k| < n/6)", file=sys.stderr)
         return 1
     u = spectral.trig_field(n, 0.0, [0.0] * (k - 1) + [1.0])
-    r7 = euler_mub_residual(inertia.MU_MINUS_DXX, args.b, u)
-    r8 = shift_limit_residual(inertia.MU_MINUS_DXX, args.b, u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r7 = euler_mub_residual(inertia.MU_MINUS_DXX, args.b, u)
+        r8 = shift_limit_residual(inertia.MU_MINUS_DXX, args.b, u)
+    if _b_overflowed({"rhs_residual": r7, "shift_limit_residual": r8}):
+        return 1
     print(f"rhs_residual: {_fmt(r7)}")
     print(f"shift_limit_residual: {_fmt(r8)}")
     return 0

@@ -14,8 +14,8 @@ construction.  Supported families:
 
 ``invert_mu_dxx_integral`` provides a second, independent route to the
 inverse of the mean-minus-second-derivative operator through exact nested
-antiderivatives; it never divides by the symbol and is used to cross-check
-the spectral division.
+running integrals on rfft coefficients, O(n log n); it never divides by the
+symbol and is used to cross-check the spectral division.
 """
 
 from __future__ import annotations
@@ -65,21 +65,27 @@ class InertiaSpec:
     scale: float = 1.0
 
     def __post_init__(self):
+        # every value rule lives here, named by its JSON field; numbers are
+        # stored as floats and the symbol table sorted by |k|
         if self.kind not in _KINDS:
-            raise ValueError(f"unknown inertia kind {self.kind!r}")
-        if not np.isfinite(self.scale) or self.scale == 0.0:
-            raise ValueError("scale must be finite and nonzero")
+            raise ValueError(f"inertia.kind: expected one of {_KINDS}, got {self.kind!r}")
+        if finite_real(self.scale, "inertia.scale") == 0.0:
+            raise ValueError("inertia.scale: must be nonzero")
+        object.__setattr__(self, "scale", float(self.scale))
         if self.kind == "helmholtz":
-            if not np.isfinite(self.lam) or self.lam < 0.0:
-                raise ValueError("helmholtz lam must be finite and >= 0")
+            if finite_real(self.lam, "inertia.lam") < 0.0:
+                raise ValueError(f"inertia.lam: must be >= 0, got {self.lam!r}")
+            object.__setattr__(self, "lam", float(self.lam))
         if self.kind == "diagonal":
             if not self.symbol:
-                raise ValueError("diagonal operator needs a symbol table")
+                raise ValueError("inertia.symbol: required table {|k|: value} for the diagonal kind")
             for k, s in self.symbol:
                 if k < 0 or k != int(k):
-                    raise ValueError("diagonal symbol keys must be |k| integers")
-                if not np.isfinite(s) or s == 0.0:
-                    raise ValueError("diagonal symbol entries must be finite and nonzero")
+                    raise ValueError("inertia.symbol: keys must be mode numbers |k|")
+                if finite_real(s, f"inertia.symbol.{k}") == 0.0:
+                    raise ValueError(f"inertia.symbol.{k}: must be nonzero")
+            object.__setattr__(self, "symbol",
+                               tuple(sorted((int(k), float(s)) for k, s in self.symbol)))
 
     @classmethod
     def mu_minus_dxx(cls) -> "InertiaSpec":
@@ -95,8 +101,7 @@ class InertiaSpec:
 
     @classmethod
     def diagonal(cls, symbol: Mapping[int, float]) -> "InertiaSpec":
-        table = tuple(sorted((int(k), float(s)) for k, s in symbol.items()))
-        return cls(kind="diagonal", symbol=table)
+        return cls(kind="diagonal", symbol=tuple(symbol.items()))
 
     def _symbol(self, k: np.ndarray) -> np.ndarray:
         # symbol values s_{|k|} for an array of mode numbers, scale included
@@ -160,20 +165,18 @@ class InertiaSpec:
         if kind not in _KINDS:
             raise ValueError(f"inertia.kind: expected one of {_KINDS}, got {kind!r}")
         reject_unknown(data, ("kind", "scale", *_KIND_FIELDS.get(kind, ())), "inertia")
-        scale = finite_real(data.get("scale", 1.0), "inertia.scale")
+        scale = data.get("scale", 1.0)
         if kind == "helmholtz":
             if "lam" not in data:
                 raise ValueError("inertia.lam: required for the helmholtz kind")
-            return cls(kind=kind, lam=finite_real(data["lam"], "inertia.lam"), scale=scale)
+            return cls(kind=kind, lam=data["lam"], scale=scale)
         if kind == "diagonal":
-            raw = data.get("symbol")
-            if not isinstance(raw, Mapping) or not raw:
+            raw = data.get("symbol", {})
+            if not isinstance(raw, Mapping):
                 raise ValueError("inertia.symbol: required table {|k|: value} for the diagonal kind")
             if not all(str(k).isdecimal() for k in raw):
                 raise ValueError("inertia.symbol: keys must be mode numbers |k|")
-            table = tuple(sorted((int(k), finite_real(s, f"inertia.symbol.{k}"))
-                                 for k, s in raw.items()))
-            return cls(kind=kind, symbol=table, scale=scale)
+            return cls(kind=kind, symbol=tuple((int(k), s) for k, s in raw.items()), scale=scale)
         return cls(kind=kind, scale=scale)
 
 
@@ -260,44 +263,6 @@ def check_symmetry(spec: InertiaSpec, n: int = 64, trials: int = 20, seed: int =
     return worst
 
 
-class _PolyTrig:
-    """q(x) + sum_k c_k e^{2 pi i k x} with exact running-integral arithmetic.
-
-    Modes are stored symmetrically (both +-Nyquist halves) so repeated
-    integration stays exact for any real field.  Polynomials are ascending
-    coefficient arrays.
-    """
-
-    def __init__(self, poly: np.ndarray, k: np.ndarray, c: np.ndarray):
-        self.poly = poly
-        self.k = k
-        self.c = c
-
-    @classmethod
-    def from_field(cls, f: np.ndarray) -> "_PolyTrig":
-        c = spectral.transform(f)
-        n = f.size
-        h = n // 2
-        ks = np.concatenate((np.arange(1, h), np.arange(h + 1, n) - n, [h, -h]))
-        cs = np.concatenate((c[1:h], c[h + 1:], [0.5 * c[h], 0.5 * c[h]]))
-        return cls(np.array([c[0].real]), ks, cs)
-
-    def integral(self) -> "_PolyTrig":
-        p = self.poly
-        pint = np.concatenate(([0.0], p / np.arange(1.0, p.size + 1.0)))
-        cnew = self.c / (2j * np.pi * self.k)
-        pint[0] -= float(np.sum(cnew).real)
-        return _PolyTrig(pint, self.k, cnew)
-
-    def value_at_one(self) -> float:
-        # e^{2 pi i k} = 1 exactly, so the trig part contributes sum(c_k)
-        return float(np.polynomial.polynomial.polyval(1.0, self.poly) + np.sum(self.c).real)
-
-    def sample(self, x: np.ndarray) -> np.ndarray:
-        phases = np.exp((2j * np.pi) * np.outer(x, self.k))
-        return np.polynomial.polynomial.polyval(x, self.poly) + np.real(phases @ self.c)
-
-
 def invert_mu_dxx_integral(f: np.ndarray) -> np.ndarray:
     """Invert the mean-minus-second-derivative operator by nested integrals.
 
@@ -305,15 +270,13 @@ def invert_mu_dxx_integral(f: np.ndarray) -> np.ndarray:
 
         (x^2/2 - x/2 + 13/12) I1 + (x - 1/2) I2(1) - I2(x) + I3(1)
 
-    where I1 is the mean and I2, I3 are the second and third nested
-    antiderivatives from zero.  Exact on trig polynomials; independent of
-    :func:`invert`, which divides by the symbol instead.
+    where I1 = I_1(1) is the mean of f and I2, I3 are the second and third
+    nested running integrals from zero, all from
+    :func:`spectral.running_integrals` in O(n log n).  Exact on trig
+    polynomials; independent of :func:`invert`, which divides by the
+    symbol instead.
     """
-    f = np.asarray(f, dtype=float)
-    n = f.size
-    g = _PolyTrig.from_field(f)
-    i2 = g.integral().integral()
-    i3 = i2.integral()
-    x = spectral.grid(n)
+    samples, at_one = spectral.running_integrals(f, 3)
+    x = spectral.grid(samples.shape[1])
     poly = 0.5 * x * x - 0.5 * x + 13.0 / 12.0
-    return poly * spectral.mean(f) + (x - 0.5) * i2.value_at_one() - i2.sample(x) + i3.value_at_one()
+    return poly * at_one[0] + (x - 0.5) * at_one[1] - samples[1] + at_one[2]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mubflow import cli
+from mubflow import cli, dynamics
 from mubflow.dynamics import DIAGNOSTICS_COLUMNS
 
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
@@ -162,6 +162,29 @@ def test_simulate_rejects_short_diagonal_symbol(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: inertia.symbol:") and "|k| = 2" in err
     assert not out.exists()
+
+
+def test_simulate_validates_the_config_once(tmp_path, monkeypatch):
+    calls = []
+    prepare = dynamics._prepare
+    monkeypatch.setattr(dynamics, "_prepare", lambda config: calls.append(1) or prepare(config))
+    assert cli.main(["simulate", str(write_config(tmp_path)), "--out", str(tmp_path / "o"),
+                     "--quiet"]) == 0
+    assert len(calls) == 1
+
+
+def test_simulate_value_error_after_first_row_propagates(tmp_path, monkeypatch):
+    diagnostics = dynamics.diagnostics
+
+    def fail_after_row_0(spec, u, t, g=None):
+        if t > 0.0:
+            raise ValueError("late")
+        return diagnostics(spec, u, t, g)
+
+    monkeypatch.setattr(dynamics, "diagnostics", fail_after_row_0)
+    with pytest.raises(ValueError, match="late"):
+        cli.main(["simulate", str(write_config(tmp_path)), "--out", str(tmp_path / "o")])
+    assert (tmp_path / "o" / "snapshots" / "u_000000.csv").is_file()
 
 
 def test_snapshot_writer_matches_fmt(tmp_path):
@@ -346,6 +369,8 @@ def test_residual_rejects_zero_mode(capsys):
     (["check-inverse", "--n", "-4"], "--n"),
     (["check-inverse", "--trials", "0"], "--trials"),
     (["check-inverse", "--seed", "-1"], "--seed"),
+    (["classify", "--b", "1e308"], "--b"),
+    (["residual", "--b", "1e308", "--mode", "1"], "--b"),
 ])
 def test_bad_argument_exits_1_naming_the_flag(tmp_path, capsys, argv, flag):
     out = tmp_path / "report"

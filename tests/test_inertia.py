@@ -159,6 +159,28 @@ def test_integral_inverse_low_resolution():
     assert d <= 1e-10
 
 
+@pytest.mark.parametrize("n", [8, 64, 1024])
+def test_integral_inverse_with_nyquist_energy(n):
+    # random_trig_field stops at n/3; this field carries the Nyquist cosine
+    x = sp.grid(n)
+    f = 0.7 + np.cos(np.pi * n * x) + 0.3 * np.sin(TWO_PI * x)
+    d = np.max(np.abs(io.invert_mu_dxx_integral(f) - io.invert(io.MU_MINUS_DXX, f)))
+    assert d <= 1e-12
+
+
+def test_integral_inverse_memory_is_linear():
+    # an n x n phase table would take 33.6 MB at n = 1024
+    import tracemalloc
+    f = sp.random_trig_field(1024, 32, np.random.default_rng(5))
+    tracemalloc.start()
+    try:
+        io.invert_mu_dxx_integral(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2e6
+
+
 def test_integral_inverse_result_is_periodic():
     rng = np.random.default_rng(4)
     f = sp.random_trig_field(128, 20, rng)
@@ -237,6 +259,9 @@ def test_dict_round_trip(spec):
     ({"kind": "helmholtz"}, "lam"),
     ({"kind": "diagonal"}, "symbol"),
     ("mu_minus_dxx", "kind"),
+    ({"kind": "mu_minus_dxx", "scale": 0}, r"^inertia\.scale: "),
+    ({"kind": "helmholtz", "lam": -1}, r"^inertia\.lam: "),
+    ({"kind": "diagonal", "symbol": {"0": 1, "1": 0}}, r"^inertia\.symbol\.1: .*nonzero"),
 ])
 def test_from_dict_names_offending_field(bad, match):
     with pytest.raises(ValueError, match=match):

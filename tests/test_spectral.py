@@ -54,6 +54,14 @@ def test_transform_rejects_bad_length(size):
         sp.transform(np.zeros(size))
 
 
+@pytest.mark.parametrize("bad, match", [(np.full(16, np.nan), "non-finite"),
+                                        (np.full(16, np.inf), "non-finite"),
+                                        (np.zeros(7), "even")])
+def test_running_integrals_reject_bad_fields(bad, match):
+    with pytest.raises(ValueError, match=match):
+        sp.running_integrals(bad, 3)
+
+
 @given(coeff_lists, coeff_lists)
 @settings(deadline=None)
 def test_hermitian_symmetry(cos, sin):
@@ -292,6 +300,16 @@ def test_antiderivative_cos():
     F = sp.antiderivative_from_zero(np.cos(TWO_PI * x))
     assert np.max(np.abs(F.values - np.sin(TWO_PI * x) / TWO_PI)) < 1e-13
     assert F.slope == pytest.approx(0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("n", [8, 64, 1024])
+def test_antiderivative_with_nyquist_energy(n):
+    # the Nyquist cosine integrates to sin(pi n x)/(pi n), zero on the grid
+    x = sp.grid(n)
+    F = sp.antiderivative_from_zero(0.7 + np.cos(np.pi * n * x) + 0.3 * np.sin(TWO_PI * x))
+    expected = 0.7 * x + 0.3 * (1.0 - np.cos(TWO_PI * x)) / TWO_PI
+    assert np.max(np.abs(F.values - expected)) < 1e-13
+    assert F.slope == pytest.approx(0.7, abs=1e-15)
 
 
 def test_antiderivative_sin_quadrature_oracle():
