@@ -73,13 +73,19 @@ def _diagnostics_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_field_csv(path: str, x: np.ndarray, values: np.ndarray, name: str) -> None:
-    # streamed in row blocks, then renamed; "{:.17g}" of a float is _fmt
+def _row_templates(x: np.ndarray) -> list[str]:
+    # one "x_i,%.17g\n" template per row block of a snapshot; "%.17g" of a
+    # float is _fmt
+    return ["".join(f"{a:.17g},%.17g\n" for a in x[i:i + _SNAPSHOT_BLOCK].tolist())
+            for i in range(0, len(x), _SNAPSHOT_BLOCK)]
+
+
+def _write_field_csv(path: str, templates: list[str], values: np.ndarray, name: str) -> None:
+    # streamed one row block per template, then renamed
     with open(path + ".tmp", "w") as fh:
         fh.write(f"x,{name}\n")
-        for i in range(0, len(x), _SNAPSHOT_BLOCK):
-            rows = zip(x[i:i + _SNAPSHOT_BLOCK].tolist(), values[i:i + _SNAPSHOT_BLOCK].tolist())
-            fh.write("".join(f"{a:.17g},{b:.17g}\n" for a, b in rows))
+        for i, template in enumerate(templates):
+            fh.write(template % tuple(values[i * _SNAPSHOT_BLOCK:(i + 1) * _SNAPSHOT_BLOCK].tolist()))
     os.replace(path + ".tmp", path)
 
 
@@ -92,31 +98,31 @@ def _cmd_simulate(args) -> int:
     # plain str paths: pathlib would intern every new snapshot file name
     out = args.out
     snapdir = os.path.join(out, "snapshots")
-    x = None
+    templates = None
     written = []
 
     def write_snapshot(step, u, g):
-        nonlocal x
-        if x is None:
+        nonlocal templates
+        if templates is None:
             # step 0 comes after validation, so a rejected config leaves no
             # --out; a rerun replaces the whole output set, and summary.json
-            # is written last
-            x = spectral.grid(u.size)
+            # is written last.  The x column is formatted once per run.
+            templates = _row_templates(spectral.grid(u.size))
             os.makedirs(snapdir, exist_ok=True)
             stale = [os.path.join(snapdir, f) for f in os.listdir(snapdir)
                      if f.startswith(("u_", "g_")) and f.endswith(".csv")]
             for path in [*stale, os.path.join(out, "summary.json")]:
                 if os.path.isfile(path):
                     os.remove(path)
-        _write_field_csv(os.path.join(snapdir, f"u_{step:06d}.csv"), x, u, "u")
+        _write_field_csv(os.path.join(snapdir, f"u_{step:06d}.csv"), templates, u, "u")
         if g is not None:
-            _write_field_csv(os.path.join(snapdir, f"g_{step:06d}.csv"), x, g, "g")
+            _write_field_csv(os.path.join(snapdir, f"g_{step:06d}.csv"), templates, g, "g")
         written.append(step)
 
     try:
         result = dynamics.simulate(config, observe=write_snapshot)
     except ValueError as exc:
-        if x is not None:
+        if templates is not None:
             raise
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -207,6 +213,8 @@ def _cmd_residual(args) -> int:
 _FINITE = (math.isfinite, "must be a finite real number")
 _AT_LEAST_1 = (lambda v: v >= 1, "must be an integer >= 1")
 _GRID = (lambda v: v >= 4 and v % 2 == 0, "must be an even integer >= 4")
+# classify's trial fields live on a 64-point grid, below its Nyquist mode 32
+_TRIAL_MODES = (lambda v: 1 <= v <= 31, "must be an integer from 1 to 31")
 
 
 def _bad_argument(args) -> str | None:
@@ -217,7 +225,7 @@ def _bad_argument(args) -> str | None:
     return None
 
 
-def main(argv=None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mubflow",
         description="Pseudospectral solver and metric-compatibility analyzer "
@@ -237,7 +245,7 @@ def main(argv=None) -> int:
     p.add_argument("--out", default=None, help="directory for report.json")
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=_cmd_classify,
-                   limits={"b": _FINITE, "max_k": _AT_LEAST_1, "modes": _AT_LEAST_1})
+                   limits={"b": _FINITE, "max_k": _AT_LEAST_1, "modes": _TRIAL_MODES})
 
     p = sub.add_parser("check-inverse",
                        help="cross-validate the nested-integral inverse against spectral division")
@@ -259,7 +267,15 @@ def main(argv=None) -> int:
                    limits={"b": _FINITE, "mode": (lambda v: v != 0, "must be a nonzero integer"),
                            "n": _GRID})
 
-    args = parser.parse_args(argv)
+    return parser
+
+
+# built once per process; main() only parses
+_PARSER = _build_parser()
+
+
+def main(argv=None) -> int:
+    args = _PARSER.parse_args(argv)
     error = _bad_argument(args)
     if error:
         print(f"error: {error}", file=sys.stderr)

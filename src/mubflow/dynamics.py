@@ -17,7 +17,8 @@ its derivative, symbol and inverse-symbol tables built once.
 The Lie bracket convention is [u, v] = u v_x - u_x v; only the
 antisymmetric half of the covariant derivative depends on this choice.
 Time integration is fixed-step classical RK4 on rfft coefficients, with
-the right-hand side's tables built once per run and one inverse rfft per
+the right-hand side's tables built once per run, one batched inverse rfft
+per right-hand side, one accumulator per step and one inverse rfft per
 accepted step.  Flow maps g solve the characteristic ODE g' = u(t, g)
 with g(0) = id and are advanced by RK4 as well, evaluating u off-grid
 from the coefficients by exact trigonometric interpolation.
@@ -75,7 +76,7 @@ def _spectra(*fields) -> tuple:
 def lie_bracket(u: np.ndarray, v: np.ndarray, dealias: bool = True) -> np.ndarray:
     """Vector-field bracket [u, v] = u v_x - u_x v."""
     n, d, cu, cv = _spectra(u, v)
-    c = spectral.quadratic([(1.0, cu, d * cv), (-1.0, d * cu, cv)], n, dealias)
+    c = spectral.quadratic((1.0, -1.0), np.stack((cu, d * cv, d * cu, cv)), n, dealias)
     return np.fft.irfft(c, n)
 
 
@@ -89,8 +90,8 @@ def christoffel(spec: InertiaSpec, u: np.ndarray, v: np.ndarray, dealias: bool =
     n, d, cu, cv = _spectra(u, v)
     s = spec.multipliers(n)
     au, av = s * cu, s * cv
-    t = spectral.quadratic([(2.0, au, d * cv), (2.0, av, d * cu),
-                            (1.0, cu, d * av), (1.0, cv, d * au)], n, dealias)
+    block = np.stack((au, d * cv, av, d * cu, cu, d * av, cv, d * au))
+    t = spectral.quadratic((2.0, 2.0, 1.0, 1.0), block, n, dealias)
     return 0.5 * np.fft.irfft(inertia.divide(spec, t), n)
 
 
@@ -109,23 +110,33 @@ def coefficient_rhs(form: str, n: int, spec: InertiaSpec = inertia.MU_MINUS_DXX,
     m_t = -(m_x u + b m u_x) with m = mu(u) - u_xx, resolved for u_t (``spec``
     is then the mean-minus-second-derivative operator).  The bracket has
     zero mean analytically; for ``neg_dxx`` its round-off mean is projected
-    out by the inverse.
+    out by the inverse.  Each call fills one factor block for
+    :func:`spectral.quadratic` in place and divides its result in place by
+    the negated symbol.
     """
     if form == "mub":
         spec = inertia.MU_MINUS_DXX
+        # m_x u + b m u_x with m = Au: rows m_x, u, m, u_x
+        weights, (a_row, a_x_row, u_row, u_x_row) = (1.0, b), (2, 0, 1, 3)
+    else:
+        # 2 (Au) u_x + u (Au)_x: rows Au, u_x, u, (Au)_x
+        weights, (a_row, a_x_row, u_row, u_x_row) = (2.0, 1.0), (0, 3, 2, 1)
     d = spectral.derivative_multiplier(n)
     s = spec.multipliers(n)
-    inverse = inertia.divisors(spec, n)
+    negated = -inertia.divisors(spec, n)
+    shape = (4, n // 2 + 1)
 
-    def euler(c):
-        a = s * c
-        return -spectral.quadratic([(2.0, a, d * c), (1.0, c, d * a)], n, dealias) / inverse
+    def rhs(c):
+        block = np.empty(shape, dtype=complex)
+        a = np.multiply(s, c, out=block[a_row])
+        np.multiply(d, a, out=block[a_x_row])
+        block[u_row] = c
+        np.multiply(d, c, out=block[u_x_row])
+        q = spectral.quadratic(weights, block, n, dealias)
+        q /= negated
+        return q
 
-    def mub(c):
-        m = s * c
-        return -spectral.quadratic([(1.0, d * m, c), (b, m, d * c)], n, dealias) / inverse
-
-    return mub if form == "mub" else euler
+    return rhs
 
 
 def euler_rhs(spec: InertiaSpec, u: np.ndarray, dealias: bool = True) -> np.ndarray:
@@ -145,12 +156,19 @@ def mub_rhs(b: float, u: np.ndarray, dealias: bool = True) -> np.ndarray:
 
 
 def step_rk4(rhs, u: np.ndarray, dt: float) -> np.ndarray:
-    """One classical 4-stage Runge-Kutta step of u_t = rhs(u); coupled systems stack u."""
-    k1 = rhs(u)
-    k2 = rhs(u + 0.5 * dt * k1)
-    k3 = rhs(u + 0.5 * dt * k2)
-    k4 = rhs(u + dt * k3)
-    return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    """One classical 4-stage Runge-Kutta step of u_t = rhs(u); coupled systems stack u.
+
+    k1 + 2 k2 + 2 k3 + k4 is summed in that order as one running sum, and
+    each k is dropped once its stage input is formed, so beside u at most
+    the sum, one stage input and what rhs allocates are alive.
+    """
+    acc = k = rhs(u)
+    for h, w in ((0.5, 2.0), (0.5, 2.0), (1.0, 1.0)):
+        stage = u + h * dt * k
+        del k
+        k = rhs(stage)
+        acc = acc + w * k
+    return u + (dt / 6.0) * acc
 
 
 INITIAL_PRESETS = {

@@ -79,9 +79,14 @@ class InertiaSpec:
         if self.kind == "diagonal":
             if not self.symbol:
                 raise ValueError("inertia.symbol: required table {|k|: value} for the diagonal kind")
+            seen = set()
             for k, s in self.symbol:
                 if k < 0 or k != int(k):
                     raise ValueError("inertia.symbol: keys must be mode numbers |k|")
+                if int(k) in seen:
+                    # "1" and "01" name one mode
+                    raise ValueError(f"inertia.symbol.{int(k)}: duplicate mode")
+                seen.add(int(k))
                 if finite_real(s, f"inertia.symbol.{k}") == 0.0:
                     raise ValueError(f"inertia.symbol.{k}: must be nonzero")
             object.__setattr__(self, "symbol",
@@ -132,19 +137,6 @@ class InertiaSpec:
     @property
     def invertible_everywhere(self) -> bool:
         return self.kind != "neg_dxx"
-
-    def describe(self) -> str:
-        if self.kind == "mu_minus_dxx":
-            text = "mean minus second derivative: s_0 = 1, s_k = (2*pi*k)^2"
-        elif self.kind == "helmholtz":
-            text = f"1 - {self.lam}*d_xx: s_k = 1 + {self.lam}*(2*pi*k)^2"
-        elif self.kind == "neg_dxx":
-            text = "-d_xx: s_k = (2*pi*k)^2, kernel on constants"
-        else:
-            text = "diagonal multiplier " + repr(dict(self.symbol))
-        if self.scale != 1.0:
-            text = f"{self.scale} * ({text})"
-        return text
 
     def to_dict(self) -> dict:
         out: dict = {"kind": self.kind}

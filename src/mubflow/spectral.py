@@ -7,13 +7,14 @@ FFT ordering (k = 0, 1, ..., N/2-1, -N/2, ..., -1), so c_0 equals the mean
 of u and the integer mode k carries physical wavenumber 2*pi*k.
 
 Every quadratic term goes through one kernel, :func:`quadratic`, which
-works on rfft coefficients and dealiases by default (3/2-rule zero
-padding).  The Nyquist cosine is split evenly between modes +-N/2 on
-padding, folded back into one slot on truncation, and dropped by odd
-derivatives.  Discrete integrals are (1/N)-weighted sums, exact for trig
-polynomials below the Nyquist mode.  Running integrals from zero,
-:func:`running_integrals`, are exact on the rfft coefficients and cost
-one inverse rfft each, O(N log N).
+works on a block of rfft coefficients and dealiases by default (3/2-rule
+zero padding): one batched inverse rfft samples every factor, the weighted
+sum of products is formed in place, and one forward rfft returns it.  The
+Nyquist cosine is split evenly between modes +-N/2 on padding, folded back
+into one slot on truncation, and dropped by odd derivatives.  Discrete
+integrals are (1/N)-weighted sums, exact for trig polynomials below the
+Nyquist mode.  Running integrals from zero, :func:`running_integrals`, are
+exact on the rfft coefficients and cost one inverse rfft each, O(N log N).
 
 Off-grid evaluation, :func:`evaluate` from samples or
 :func:`evaluate_rfft` from rfft coefficients, sums the Fourier series
@@ -123,36 +124,38 @@ def derivative(f: np.ndarray, order: int = 1) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(f) * w, n)
 
 
-def _pad(c: np.ndarray, m: int) -> np.ndarray:
-    # samples on the m-point grid (scaled by n/m) of the field whose n-point
-    # rfft is c, with the Nyquist cosine split evenly between +-n/2
-    h = c.size - 1
-    cf = np.zeros(m // 2 + 1, dtype=complex)
-    cf[:h] = c[:h]
-    cf[h] = 0.5 * c[h]
-    return np.fft.irfft(cf, m)
+def quadratic(weights, block: np.ndarray, n: int, dealias: bool = True) -> np.ndarray:
+    """rfft coefficients of sum_j w_j f_j g_j on the n-point grid.
 
-
-def quadratic(terms, n: int, dealias: bool = True) -> np.ndarray:
-    """rfft coefficients of sum_j a_j f_j g_j on the n-point grid.
-
-    ``terms`` holds triples (a_j, rfft(f_j), rfft(g_j)) of n-point fields.
-    With ``dealias`` each factor is zero-padded to the 3n/2 grid, the whole
-    sum is formed there, and one forward rfft is truncated back to
-    |k| <= n/2, folding +-n/2 into the Nyquist slot.  Without it the sum is
-    formed on the n-point grid itself.
+    ``block`` is a (2k, n/2 + 1) complex array whose rows 2j and 2j + 1 hold
+    rfft(f_j) and rfft(g_j) for the k ``weights`` w_j; it is scratch, and
+    the kernel overwrites it.  One batched inverse rfft samples every factor:
+    with ``dealias`` on the 3n/2 grid (numpy zero-pads the modes; the Nyquist
+    cosine is split evenly between +-n/2), without it on the n-point grid.
+    The weighted sum is formed in place there, and one forward rfft into the
+    block's memory is truncated back to |k| <= n/2, folding +-n/2 into the
+    Nyquist slot.
     """
-    if any(np.shape(x) != (n // 2 + 1,) for _, f, g in terms for x in (f, g)):
-        raise ValueError("fields must share the same grid size")
-    if not dealias:
-        return np.fft.rfft(sum(a * np.fft.irfft(f, n) * np.fft.irfft(g, n) for a, f, g in terms))
-    if n % 2:
-        raise ValueError("dealiased products need an even grid size")
-    m = 3 * n // 2
     h = n // 2
-    c = np.fft.rfft(sum(a * _pad(f, m) * _pad(g, m) for a, f, g in terms))[:h + 1]
-    c[h] = 2.0 * c[h].real
-    return c * (m / n)
+    if np.shape(block) != (2 * len(weights), h + 1):
+        raise ValueError("fields must share the same grid size")
+    if dealias and n % 2:
+        raise ValueError("dealiased products need an even grid size")
+    m = 3 * n // 2 if dealias else n
+    if dealias:
+        block[:, h] *= 0.5
+    fine = np.fft.irfft(block, m)
+    for j, w in enumerate(weights):
+        f = fine[2 * j]
+        f *= w
+        f *= fine[2 * j + 1]
+        if j:
+            fine[0] += f
+    c = np.fft.rfft(fine[0], out=block.reshape(-1)[:m // 2 + 1])
+    del fine, f     # f is a view that would keep the samples alive
+    if dealias:
+        c[h] = 2.0 * c[h].real
+    return c[:h + 1] * (m / n)
 
 
 def product(f: np.ndarray, g: np.ndarray, dealias: bool = True) -> np.ndarray:
@@ -160,7 +163,7 @@ def product(f: np.ndarray, g: np.ndarray, dealias: bool = True) -> np.ndarray:
     if np.shape(f) != np.shape(g):
         raise ValueError("fields must share the same grid size")
     n = np.size(f)
-    return np.fft.irfft(quadratic([(1.0, np.fft.rfft(f), np.fft.rfft(g))], n, dealias), n)
+    return np.fft.irfft(quadratic((1.0,), np.fft.rfft(np.array((f, g), dtype=float)), n, dealias), n)
 
 
 def inner_l2(f: np.ndarray, g: np.ndarray) -> float:

@@ -193,7 +193,7 @@ def test_snapshot_writer_matches_fmt(tmp_path):
     values[:5] = [np.nan, -0.0, np.inf, 5e-324, -np.inf]
     x = np.linspace(0.0, 1.0, n, endpoint=False)
     path = tmp_path / "u_000000.csv"
-    cli._write_field_csv(str(path), x, values, "u")
+    cli._write_field_csv(str(path), cli._row_templates(x), values, "u")
     expected = "x,u\n" + "".join(f"{cli._fmt(a)},{cli._fmt(b)}\n" for a, b in zip(x, values))
     assert path.read_bytes() == expected.encode()
     assert not list(tmp_path.glob("*.tmp"))
@@ -247,6 +247,15 @@ def test_simulate_rejects_unknown_nested_field(tmp_path, capsys, field, override
     out = tmp_path / "o"
     assert cli.main(["simulate", str(cfg), "--out", str(out), "--quiet"]) == 1
     assert capsys.readouterr().err.startswith(f"error: {field}: unknown field")
+    assert not out.exists()
+
+
+def test_simulate_rejects_duplicate_diagonal_mode(tmp_path, capsys):
+    symbol = {**DIAGONAL, "01": 5.0}
+    cfg = write_config(tmp_path, inertia={"kind": "diagonal", "symbol": symbol})
+    out = tmp_path / "o"
+    assert cli.main(["simulate", str(cfg), "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err == "error: inertia.symbol.1: duplicate mode\n"
     assert not out.exists()
 
 
@@ -324,6 +333,11 @@ def test_classify_command_secular(capsys):
     assert "secular_obstruction: FAIL" in out
 
 
+def test_classify_accepts_the_largest_trial_mode(capsys):
+    assert cli.main(["classify", "--b", "3", "--modes", "31", "--quiet"]) == 0
+    assert not capsys.readouterr().err
+
+
 def test_check_inverse_command(capsys):
     assert cli.main(["check-inverse", "--n", "256", "--seed", "0"]) == 0
     out = capsys.readouterr().out
@@ -371,6 +385,8 @@ def test_residual_rejects_zero_mode(capsys):
     (["check-inverse", "--seed", "-1"], "--seed"),
     (["classify", "--b", "1e308"], "--b"),
     (["residual", "--b", "1e308", "--mode", "1"], "--b"),
+    (["classify", "--b", "1", "--modes", "32"], "--modes"),
+    (["classify", "--b", "1", "--modes", "1000"], "--modes"),
 ])
 def test_bad_argument_exits_1_naming_the_flag(tmp_path, capsys, argv, flag):
     out = tmp_path / "report"

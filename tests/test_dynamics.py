@@ -212,6 +212,48 @@ def test_rk4_zero_rhs_is_identity():
     assert np.array_equal(out, u)
 
 
+def _rk4_textbook(rhs, u, dt):
+    k1 = rhs(u)
+    k2 = rhs(u + 0.5 * dt * k1)
+    k3 = rhs(u + 0.5 * dt * k2)
+    k4 = rhs(u + dt * k3)
+    return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+@pytest.mark.parametrize("state", ["complex", "real"])
+def test_rk4_matches_the_textbook_sum_bit_for_bit(state):
+    n = 128
+    u = rand_field(n, 40, seed=12)
+    if state == "complex":
+        rhs, w = dy.coefficient_rhs("mub", n, b=-1.3), np.fft.rfft(u)
+    else:
+        rhs, w = (lambda v: -v * sp.derivative(v, 1)), u
+    before = w.copy()
+    out = dy.step_rk4(rhs, w, 0.013)
+    assert out.dtype == w.dtype
+    assert np.array_equal(out, _rk4_textbook(rhs, w, 0.013))
+    assert np.array_equal(w, before)
+
+
+@pytest.mark.parametrize("form", ["euler", "mub"])
+def test_rk4_step_memory_is_bounded_by_the_state(form):
+    import tracemalloc
+
+    n = 4096
+    rhs = dy.coefficient_rhs(form, n, b=-1.3)
+    c = np.fft.rfft(rand_field(n, 64, seed=13))
+    dy.step_rk4(rhs, c, 1e-5)
+    tracemalloc.start()
+    try:
+        dy.step_rk4(rhs, c, 1e-5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the accumulator, one stage input, the (4, n/2 + 1) factor block and
+    # its (4, 3n/2) samples: about 12 states
+    assert peak <= 13 * c.nbytes
+
+
 def test_rk4_advection_convergence_order():
     # u_t = -u_x has the exact solution u0(x - t)
     n = 64

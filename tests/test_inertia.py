@@ -262,6 +262,8 @@ def test_dict_round_trip(spec):
     ({"kind": "mu_minus_dxx", "scale": 0}, r"^inertia\.scale: "),
     ({"kind": "helmholtz", "lam": -1}, r"^inertia\.lam: "),
     ({"kind": "diagonal", "symbol": {"0": 1, "1": 0}}, r"^inertia\.symbol\.1: .*nonzero"),
+    ({"kind": "diagonal", "symbol": {"1": 2.0, "01": 5.0, "0": 1.0}},
+     r"^inertia\.symbol\.1: duplicate mode$"),
 ])
 def test_from_dict_names_offending_field(bad, match):
     with pytest.raises(ValueError, match=match):

@@ -222,6 +222,47 @@ def test_product_rejects_mismatched_sizes():
         sp.product(np.zeros(8), np.zeros(16))
 
 
+def _pad_per_factor(c, m):
+    # reference: one factor zero-padded on its own to the m-point grid, the
+    # Nyquist cosine split evenly between +-n/2
+    h = c.size - 1
+    cf = np.zeros(m // 2 + 1, dtype=complex)
+    cf[:h] = c[:h]
+    cf[h] = 0.5 * c[h]
+    return np.fft.irfft(cf, m)
+
+
+def _quadratic_per_factor(terms, n, dealias):
+    # oracle: one inverse transform per factor, the sum over (a, rfft f, rfft g)
+    if not dealias:
+        return np.fft.rfft(sum(a * np.fft.irfft(f, n) * np.fft.irfft(g, n) for a, f, g in terms))
+    m, h = 3 * n // 2, n // 2
+    c = np.fft.rfft(sum(a * _pad_per_factor(f, m) * _pad_per_factor(g, m)
+                        for a, f, g in terms))[:h + 1]
+    c[h] = 2.0 * c[h].real
+    return c * (m / n)
+
+
+@pytest.mark.parametrize("dealias", [True, False])
+@pytest.mark.parametrize("terms", [1, 2, 4])
+@pytest.mark.parametrize("n", [4, 6, 8, 64, 1024, 4096])
+def test_quadratic_matches_per_factor_kernel_bit_for_bit(n, terms, dealias):
+    rng = np.random.default_rng([n, terms, dealias])
+    # white-noise fields carry energy in every mode, the Nyquist mode included
+    block = np.fft.rfft(rng.standard_normal((2 * terms, n)))
+    assert np.min(np.abs(block[:, n // 2])) > 0.0
+    weights = tuple(rng.standard_normal(terms))
+    expected = _quadratic_per_factor(list(zip(weights, block[0::2], block[1::2])), n, dealias)
+    assert np.array_equal(sp.quadratic(weights, block.copy(), n, dealias), expected)
+
+
+def test_quadratic_rejects_a_block_of_the_wrong_shape():
+    with pytest.raises(ValueError, match="same grid"):
+        sp.quadratic((1.0, 1.0), np.zeros((2, 5), dtype=complex), 8)
+    with pytest.raises(ValueError, match="same grid"):
+        sp.quadratic((1.0,), np.zeros((2, 9), dtype=complex), 8)
+
+
 def test_nyquist_convention():
     # split evenly between +-n/2 on padding, folded back on truncation,
     # dropped by odd derivatives
