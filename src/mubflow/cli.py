@@ -215,6 +215,8 @@ _AT_LEAST_1 = (lambda v: v >= 1, "must be an integer >= 1")
 _GRID = (lambda v: v >= 4 and v % 2 == 0, "must be an even integer >= 4")
 # classify's trial fields live on a 64-point grid, below its Nyquist mode 32
 _TRIAL_MODES = (lambda v: 1 <= v <= 31, "must be an integer from 1 to 31")
+# the secular and off-diagonal scans build O(max_k) Python objects
+_SCAN_MODES = (lambda v: 1 <= v <= 10000, "must be an integer from 1 to 10000")
 
 
 def _bad_argument(args) -> str | None:
@@ -245,7 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="directory for report.json")
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=_cmd_classify,
-                   limits={"b": _FINITE, "max_k": _AT_LEAST_1, "modes": _TRIAL_MODES})
+                   limits={"b": _FINITE, "max_k": _SCAN_MODES, "modes": _TRIAL_MODES})
 
     p = sub.add_parser("check-inverse",
                        help="cross-validate the nested-integral inverse against spectral division")

@@ -12,7 +12,8 @@ Two equivalent right-hand sides are provided:
 
 Both are grid wrappers over one coefficient-space map,
 ``coefficient_rhs(form, n, ...)``, which takes rfft(u) to rfft(u_t) with
-its derivative, symbol and inverse-symbol tables built once.
+its derivative, symbol and inverse-symbol tables built once.  Each takes
+one field or a stack of fields, one per row, in one pass of the kernel.
 
 The Lie bracket convention is [u, v] = u v_x - u_x v; only the
 antisymmetric half of the covariant derivative depends on this choice.
@@ -65,10 +66,10 @@ STATUS_DIFFEO_LOST = "diffeomorphism lost"
 
 
 def _spectra(*fields) -> tuple:
-    # grid size, d/dx multiplier and the rfft of each field
+    # grid size (the last axis), d/dx multiplier and the rfft of each field
     if len({np.shape(f) for f in fields}) > 1:
         raise ValueError("fields must share the same grid size")
-    n = np.size(fields[0])
+    n = np.shape(fields[0])[-1]
     return (n, spectral.derivative_multiplier(n),
             *(np.fft.rfft(np.asarray(f, dtype=float)) for f in fields))
 
@@ -110,9 +111,10 @@ def coefficient_rhs(form: str, n: int, spec: InertiaSpec = inertia.MU_MINUS_DXX,
     m_t = -(m_x u + b m u_x) with m = mu(u) - u_xx, resolved for u_t (``spec``
     is then the mean-minus-second-derivative operator).  The bracket has
     zero mean analytically; for ``neg_dxx`` its round-off mean is projected
-    out by the inverse.  Each call fills one factor block for
-    :func:`spectral.quadratic` in place and divides its result in place by
-    the negated symbol.
+    out by the inverse.  The map takes c of shape (..., n/2 + 1), one field
+    or a stack of them along the leading axes.  Each call fills one factor
+    block for :func:`spectral.quadratic` in place and divides its result in
+    place by the negated symbol.
     """
     if form == "mub":
         spec = inertia.MU_MINUS_DXX
@@ -124,10 +126,9 @@ def coefficient_rhs(form: str, n: int, spec: InertiaSpec = inertia.MU_MINUS_DXX,
     d = spectral.derivative_multiplier(n)
     s = spec.multipliers(n)
     negated = -inertia.divisors(spec, n)
-    shape = (4, n // 2 + 1)
 
     def rhs(c):
-        block = np.empty(shape, dtype=complex)
+        block = np.empty((4,) + c.shape, dtype=complex)
         a = np.multiply(s, c, out=block[a_row])
         np.multiply(d, a, out=block[a_x_row])
         block[u_row] = c
@@ -140,7 +141,10 @@ def coefficient_rhs(form: str, n: int, spec: InertiaSpec = inertia.MU_MINUS_DXX,
 
 
 def euler_rhs(spec: InertiaSpec, u: np.ndarray, dealias: bool = True) -> np.ndarray:
-    """Velocity-form right-hand side u_t = -A^{-1}(2 (Au) u_x + u (Au)_x) on the grid."""
+    """Velocity-form right-hand side u_t = -A^{-1}(2 (Au) u_x + u (Au)_x) on the grid.
+
+    ``u`` is one field or a stack of fields, one per row along the last axis.
+    """
     n, _, c = _spectra(u)
     return np.fft.irfft(coefficient_rhs("euler", n, spec, dealias=dealias)(c), n)
 
@@ -149,7 +153,8 @@ def mub_rhs(b: float, u: np.ndarray, dealias: bool = True) -> np.ndarray:
     """mu-b family right-hand side, resolved for u_t, on the grid.
 
     m = mu(u) - u_xx evolves by m_t = -(m_x u + b m u_x); applying the
-    inverse of the mean-minus-second-derivative operator gives u_t.
+    inverse of the mean-minus-second-derivative operator gives u_t.  ``u``
+    is one field or a stack of fields, one per row along the last axis.
     """
     n, _, c = _spectra(u)
     return np.fft.irfft(coefficient_rhs("mub", n, b=b, dealias=dealias)(c), n)
@@ -257,7 +262,7 @@ def _prepare(config: SimulationConfig) -> tuple:
         raise ValueError(f"inertia.symbol: {exc}") from None
     u0 = initial_field(config)
     if config.form == "euler" and config.inertia.kind == "neg_dxx":
-        if abs(spectral.mean(u0)) > inertia.MEAN_TOL:
+        if not inertia.mean_is_zero(u0):
             raise ValueError(
                 "initial: -d_xx dynamics require mean-zero initial data "
                 f"(mean is {spectral.mean(u0):.3e})")

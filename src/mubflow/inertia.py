@@ -20,6 +20,7 @@ symbol and is used to cross-check the spectral division.
 
 from __future__ import annotations
 
+import math
 import numbers
 import sys
 from dataclasses import dataclass, replace
@@ -42,6 +43,7 @@ __all__ = [
     "reject_unknown",
     "invert",
     "invert_mu_dxx_integral",
+    "mean_is_zero",
     "check_symmetry",
     "normalize",
 ]
@@ -195,6 +197,17 @@ IDENTITY = InertiaSpec.helmholtz(0.0)
 MEAN_TOL = 1e-10
 
 
+def mean_is_zero(f: np.ndarray) -> bool:
+    """Whether f has zero mean to round-off: |mean| <= MEAN_TOL * max(1, max|f|).
+
+    The round-off mean of a mean-zero field grows with its size, so the
+    tolerance does too.  A field whose mean is not finite fails.
+    """
+    f = np.asarray(f, dtype=float)
+    mu = spectral.mean(f)
+    return math.isfinite(mu) and abs(mu) <= MEAN_TOL * max(1.0, float(np.max(np.abs(f))))
+
+
 def apply(spec: InertiaSpec, u: np.ndarray) -> np.ndarray:
     """Apply the operator: coefficient c_k is multiplied by s_{|k|}."""
     u = np.asarray(u, dtype=float)
@@ -223,11 +236,11 @@ def invert(spec: InertiaSpec, f: np.ndarray) -> np.ndarray:
     """Solve A u = f by dividing coefficients by the symbol.
 
     For ``neg_dxx`` the constants span kernel and cokernel: f must have
-    zero mean (within 1e-10) and the returned field takes the mean-zero
-    gauge.
+    zero mean to round-off (:func:`mean_is_zero`) and the returned field
+    takes the mean-zero gauge.
     """
     f = np.asarray(f, dtype=float)
-    if not spec.invertible_everywhere and abs(spectral.mean(f)) > MEAN_TOL:
+    if not spec.invertible_everywhere and not mean_is_zero(f):
         raise ValueError(
             "input is outside the operator range: -d_xx requires zero mean, "
             f"got mean {spectral.mean(f):.3e}")

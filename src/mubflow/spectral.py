@@ -10,6 +10,8 @@ Every quadratic term goes through one kernel, :func:`quadratic`, which
 works on a block of rfft coefficients and dealiases by default (3/2-rule
 zero padding): one batched inverse rfft samples every factor, the weighted
 sum of products is formed in place, and one forward rfft returns it.  The
+block may carry batch axes between its factor rows and its modes, so a
+stack of fields goes through in one pass, each row as if on its own.  The
 Nyquist cosine is split evenly between modes +-N/2 on padding, folded back
 into one slot on truncation, and dropped by odd derivatives.  Discrete
 integrals are (1/N)-weighted sums, exact for trig polynomials below the
@@ -127,23 +129,29 @@ def derivative(f: np.ndarray, order: int = 1) -> np.ndarray:
 def quadratic(weights, block: np.ndarray, n: int, dealias: bool = True) -> np.ndarray:
     """rfft coefficients of sum_j w_j f_j g_j on the n-point grid.
 
-    ``block`` is a (2k, n/2 + 1) complex array whose rows 2j and 2j + 1 hold
-    rfft(f_j) and rfft(g_j) for the k ``weights`` w_j; it is scratch, and
-    the kernel overwrites it.  One batched inverse rfft samples every factor:
-    with ``dealias`` on the 3n/2 grid (numpy zero-pads the modes; the Nyquist
-    cosine is split evenly between +-n/2), without it on the n-point grid.
-    The weighted sum is formed in place there, and one forward rfft into the
-    block's memory is truncated back to |k| <= n/2, folding +-n/2 into the
-    Nyquist slot.
+    ``block`` is a (2k, ..., n/2 + 1) complex array whose rows 2j and 2j + 1
+    hold rfft(f_j) and rfft(g_j) for the k ``weights`` w_j; any axes between
+    the factor rows and the modes are batch axes, and the result has shape
+    (..., n/2 + 1).  The block is scratch, and the kernel overwrites it.  One
+    batched inverse rfft samples every factor: with ``dealias`` on the 3n/2
+    grid (numpy zero-pads the modes; the Nyquist cosine is split evenly
+    between +-n/2), without it on the n-point grid.  The weighted sum is
+    formed in place there, and one forward rfft into the block's memory is
+    truncated back to |k| <= n/2, folding +-n/2 into the Nyquist slot.
+    Every step acts on the last axis, so each batch entry gets the same
+    arithmetic as a call on its own.
     """
     h = n // 2
-    if np.shape(block) != (2 * len(weights), h + 1):
+    shape = block.shape
+    if len(shape) < 2 or shape[0] != 2 * len(weights) or shape[-1] != h + 1:
         raise ValueError("fields must share the same grid size")
     if dealias and n % 2:
         raise ValueError("dealiased products need an even grid size")
     m = 3 * n // 2 if dealias else n
+    # .T puts the mode axis first, so .T[h] is the Nyquist slot of every row
+    # and batch entry; unbatched it costs less than [..., h]
     if dealias:
-        block[:, h] *= 0.5
+        block.T[h] *= 0.5
     fine = np.fft.irfft(block, m)
     for j, w in enumerate(weights):
         f = fine[2 * j]
@@ -151,11 +159,14 @@ def quadratic(weights, block: np.ndarray, n: int, dealias: bool = True) -> np.nd
         f *= fine[2 * j + 1]
         if j:
             fine[0] += f
-    c = np.fft.rfft(fine[0], out=block.reshape(-1)[:m // 2 + 1])
+    batch = shape[1:-1]
+    out = block.ravel()[:math.prod(batch) * (m // 2 + 1)].reshape(batch + (m // 2 + 1,))
+    c = np.fft.rfft(fine[0], out=out)
     del fine, f     # f is a view that would keep the samples alive
     if dealias:
-        c[h] = 2.0 * c[h].real
-    return c[:h + 1] * (m / n)
+        by_mode = c.T
+        by_mode[h] = 2.0 * by_mode[h].real
+    return c[..., :h + 1] * (m / n)
 
 
 def product(f: np.ndarray, g: np.ndarray, dealias: bool = True) -> np.ndarray:

@@ -80,6 +80,15 @@ def test_euler_mub_residual_constants_trivial():
     assert cl.euler_mub_residual(L, 3.0, np.ones(64)) <= 1e-13
 
 
+def test_euler_mub_residual_on_a_stack_is_one_sup_norm_per_row():
+    rng = np.random.default_rng(4)
+    stack = np.array([sp.random_trig_field(64, 12, rng) for _ in range(5)])
+    for b in (2.0, 3.0, -0.7):
+        rows = [cl.euler_mub_residual(L, b, u) for u in stack]
+        assert all(type(r) is float for r in rows)
+        assert np.array_equal(cl.euler_mub_residual(L, b, stack), rows)
+
+
 def test_shift_limit_residual_values():
     # mode-wise oracle: mode n responds with (2 + n^2)/n^2 on one side and
     # (b + n^2)/n^2 on the other; the gap is |b - 2| / n^2 times |u_x|
@@ -240,9 +249,79 @@ def test_classify_nonmetric_has_failed_check_with_finite_witness():
         assert all(np.isfinite(c.witness) for c in failed)
 
 
+def test_report_json_is_json_dumps_and_leaves_no_reference_cycles():
+    import gc
+    import json
+    reports = [cl.classify(b) for b in (0.0, 2.0, 3.0, -8.0 * PI ** 2)]
+    reports.append(cl.ClassificationReport(
+        b=1.0, verdict="non-metric", inertia={}, reason=None,
+        checks=[cl.CheckOutcome("x", None, float("inf"), "\u00e9 \"quoted\"\n"),
+                cl.CheckOutcome("y", True, float("nan"))]))
+    for report in reports:
+        for indent in (0, 2, 4):
+            assert report.to_json(indent) == json.dumps(report.to_dict(), indent=indent)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        reports[2].to_json()
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_report_serializes_to_json():
     import json
     report = cl.classify(3.0)
     data = json.loads(report.to_json())
     assert data["verdict"] == "non-metric"
     assert data["checks"][0]["name"] == "secular_obstruction"
+
+
+def test_classify_passes_every_trial_mode_in_one_stack(monkeypatch):
+    stacks = []
+
+    def spy(spec, b, u):
+        stacks.append(u)
+        return residual(spec, b, u)
+
+    residual = cl.euler_mub_residual
+    monkeypatch.setattr(cl, "euler_mub_residual", spy)
+    cl.classify(3.0, trial_modes=31)
+    (stack,) = stacks
+    assert stack.shape == (31, 64)
+    for k, row in enumerate(stack, start=1):
+        assert np.array_equal(row, sp.trig_field(64, 0.0, [0.0] * (k - 1) + [1.0]))
+
+
+@pytest.mark.parametrize("trial_modes", [1, 6, 31])
+def test_classify_rhs_residual_matches_a_per_mode_loop(trial_modes):
+    # the reference: one trig_field and one residual call per trial mode
+    rng = np.random.default_rng(trial_modes)
+    sweep = [2.0, 3.0, -2.0, 1e-3, -8.0 * PI ** 2, 2.0 + 1e-9, 1e300,
+             *rng.uniform(-10.0, 10.0, 8)]
+    for b in sweep:
+        with np.errstate(over="ignore", invalid="ignore"):
+            residuals = {k: cl.euler_mub_residual(L, b, sp.trig_field(64, 0.0, [0.0] * (k - 1) + [1.0]))
+                         for k in range(1, trial_modes + 1)}
+            check = cl.classify(b, trial_modes=trial_modes).checks[-1]
+        worst = max(residuals.values())
+        assert check.name == "rhs_residual"
+        assert check.witness == residuals[1] and check.passed == (worst <= cl.RESIDUAL_TOL)
+        assert check.detail == (f"sup-norm mismatch on cosine modes 1..{trial_modes}, "
+                                f"worst {worst:.6g} at mode {max(residuals, key=residuals.get)}")
+
+
+def test_classify_memory_is_bounded():
+    import tracemalloc
+
+    cl.classify(3.0)
+    tracemalloc.start()
+    try:
+        cl.classify(3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the (6, 64) trial stack, its factor block and its 3/2-rule samples
+    assert peak <= 0.1e6

@@ -338,6 +338,11 @@ def test_classify_accepts_the_largest_trial_mode(capsys):
     assert not capsys.readouterr().err
 
 
+def test_classify_accepts_the_largest_scan_range(capsys):
+    assert cli.main(["classify", "--b", "3", "--max-k", "10000", "--quiet"]) == 0
+    assert not capsys.readouterr().err
+
+
 def test_check_inverse_command(capsys):
     assert cli.main(["check-inverse", "--n", "256", "--seed", "0"]) == 0
     out = capsys.readouterr().out
@@ -387,6 +392,7 @@ def test_residual_rejects_zero_mode(capsys):
     (["residual", "--b", "1e308", "--mode", "1"], "--b"),
     (["classify", "--b", "1", "--modes", "32"], "--modes"),
     (["classify", "--b", "1", "--modes", "1000"], "--modes"),
+    (["classify", "--b", "1", "--max-k", "10001"], "--max-k"),
 ])
 def test_bad_argument_exits_1_naming_the_flag(tmp_path, capsys, argv, flag):
     out = tmp_path / "report"

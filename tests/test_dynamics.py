@@ -235,6 +235,19 @@ def test_rk4_matches_the_textbook_sum_bit_for_bit(state):
     assert np.array_equal(w, before)
 
 
+@pytest.mark.parametrize("dealias", [True, False])
+def test_rhs_on_a_stack_equals_per_row_calls(dealias):
+    rng = np.random.default_rng(21)
+    stack = np.array([sp.random_trig_field(64, 12, rng) for _ in range(6)])
+    for rhs in (lambda u: dy.euler_rhs(L, u, dealias),
+                lambda u: dy.euler_rhs(io.NEG_DXX, u, dealias),
+                lambda u: dy.mub_rhs(-1.3, u, dealias)):
+        rows = np.array([rhs(u) for u in stack])
+        assert np.array_equal(rhs(stack), rows)
+        # any number of leading axes
+        assert np.array_equal(rhs(stack.reshape(2, 3, 64)), rows.reshape(2, 3, 64))
+
+
 @pytest.mark.parametrize("form", ["euler", "mub"])
 def test_rk4_step_memory_is_bounded_by_the_state(form):
     import tracemalloc
@@ -308,6 +321,17 @@ def test_neg_dxx_large_amplitude_run_completes():
     assert dy.simulate(cfg).status == dy.STATUS_COMPLETED
     rhs = dy.euler_rhs(io.NEG_DXX, dy.initial_field(cfg))
     assert abs(sp.mean(rhs)) <= 1e-14 * np.max(np.abs(rhs))
+
+
+def test_validate_config_mean_tolerance_scales_with_the_field():
+    # mean zero, but of size 1e7: its round-off mean -4.66e-10 exceeds 1e-10
+    initial = {"type": "trig", "cos": [7e6], "sin": [1e7, 3e6, 1e6]}
+    u0 = dy.validate_config(dy.SimulationConfig(n=256, inertia=io.NEG_DXX, initial=initial))
+    assert abs(sp.mean(u0)) > io.MEAN_TOL
+    # a true mean is still rejected at that size
+    with pytest.raises(ValueError, match="initial"):
+        dy.validate_config(dy.SimulationConfig(n=256, inertia=io.NEG_DXX,
+                                               initial={**initial, "mean": 1e-2}))
 
 
 def test_validate_config_names_field():

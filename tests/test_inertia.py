@@ -105,6 +105,20 @@ def test_invert_neg_dxx_gauge():
 def test_invert_neg_dxx_rejects_nonzero_mean():
     with pytest.raises(ValueError, match="zero mean"):
         io.invert(io.NEG_DXX, np.ones(32))
+    with pytest.raises(ValueError, match="zero mean"):
+        io.invert(io.NEG_DXX, np.full(32, np.inf))
+
+
+def test_invert_neg_dxx_mean_tolerance_scales_with_the_field():
+    # mean zero, but of size 1e7: its round-off mean -4.66e-10 exceeds 1e-10
+    f = sp.trig_field(256, 0.0, [7e6], [1e7, 3e6, 1e6])
+    scale = np.max(np.abs(f))
+    assert io.MEAN_TOL < abs(sp.mean(f)) <= io.MEAN_TOL * scale
+    out = io.invert(io.NEG_DXX, f)
+    assert np.max(np.abs(io.apply(io.NEG_DXX, out) - f)) <= 1e-11 * scale
+    # a true mean is still rejected at that size
+    with pytest.raises(ValueError, match="zero mean"):
+        io.invert(io.NEG_DXX, f + 1e-2)
 
 
 @pytest.mark.parametrize("spec", [s for s in ALL_SPECS if s.invertible_everywhere])

@@ -261,6 +261,26 @@ def test_quadratic_rejects_a_block_of_the_wrong_shape():
         sp.quadratic((1.0, 1.0), np.zeros((2, 5), dtype=complex), 8)
     with pytest.raises(ValueError, match="same grid"):
         sp.quadratic((1.0,), np.zeros((2, 9), dtype=complex), 8)
+    # one factor row alone, with no mode axis, is not a block
+    with pytest.raises(ValueError, match="same grid"):
+        sp.quadratic((1.0,), np.zeros(2, dtype=complex), 2, dealias=False)
+
+
+@pytest.mark.parametrize("dealias", [True, False])
+@pytest.mark.parametrize("terms", [1, 2, 4])
+@pytest.mark.parametrize("n", [4, 6, 64, 1024])
+def test_quadratic_batch_equals_per_row_calls(n, terms, dealias):
+    rng = np.random.default_rng([n, terms, dealias, 2])
+    # two batch axes between the factor rows and the modes; white noise puts
+    # energy in every mode, the Nyquist mode included
+    block = np.fft.rfft(rng.standard_normal((2 * terms, 3, 5, n)))
+    assert np.min(np.abs(block[..., n // 2])) > 0.0
+    weights = tuple(rng.standard_normal(terms))
+    batched = sp.quadratic(weights, block.copy(), n, dealias)
+    assert batched.shape == (3, 5, n // 2 + 1)
+    for i, j in np.ndindex(3, 5):
+        row = sp.quadratic(weights, block[:, i, j].copy(), n, dealias)
+        assert np.array_equal(batched[i, j], row)
 
 
 def test_nyquist_convention():
