@@ -53,6 +53,7 @@ __all__ = [
     "CheckOutcome",
     "ClassificationReport",
     "classify",
+    "json_text",
     "INTEGRALITY_TOL",
     "RESIDUAL_TOL",
 ]
@@ -340,20 +341,23 @@ class ClassificationReport:
 
     def to_json(self, indent: int = 2) -> str:
         """The text of ``json.dumps(self.to_dict(), indent=indent)``."""
-        return _json_text(self.to_dict(), " " * indent)
+        return json_text(self.to_dict(), " " * indent)
 
 
-def _json_text(value, step: str, indent: str = "") -> str:
-    # json.dumps(value, indent=len(step)) assembled from the C encoder's text
-    # for each scalar: json's indenting encoder is pure Python and leaves
-    # reference cycles behind on every call, memory held until the cyclic
-    # garbage collector runs
+def json_text(value, step: str = "  ", indent: str = "") -> str:
+    """The text of ``json.dumps(value, indent=len(step))``.
+
+    Assembled from the C encoder's text for each scalar: json's indenting
+    encoder is pure Python and leaves reference cycles behind on every
+    call, memory held until the cyclic garbage collector runs.  ``indent``
+    is the indentation of the lines after the first, for nesting.
+    """
     inner = indent + step
     if isinstance(value, dict) and value:
-        items = (f"{inner}{json.dumps(k)}: {_json_text(v, step, inner)}" for k, v in value.items())
+        items = (f"{inner}{json.dumps(k)}: {json_text(v, step, inner)}" for k, v in value.items())
         return "{\n" + ",\n".join(items) + "\n" + indent + "}"
     if isinstance(value, (list, tuple)) and value:
-        items = (inner + _json_text(v, step, inner) for v in value)
+        items = (inner + json_text(v, step, inner) for v in value)
         return "[\n" + ",\n".join(items) + "\n" + indent + "]"
     return json.dumps(value)
 

@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import dynamics, inertia, spectral
-from .analyzer import classify, euler_mub_residual, shift_limit_residual
+from .analyzer import classify, euler_mub_residual, json_text, shift_limit_residual
 from .dynamics import DIAGNOSTICS_COLUMNS, SimulationConfig
 
 __all__ = ["main", "load_config"]
@@ -136,7 +136,7 @@ def _cmd_simulate(args) -> int:
                    "inertia": config.inertia.to_dict(),
                    "initial": config.initial},
     }
-    _write_atomic(os.path.join(out, "summary.json"), json.dumps(summary, indent=2) + "\n")
+    _write_atomic(os.path.join(out, "summary.json"), json_text(summary) + "\n")
 
     if not args.quiet:
         print(f"status: {result.status}")
@@ -178,13 +178,17 @@ def _cmd_classify(args) -> int:
 def _cmd_check_inverse(args) -> int:
     rng = np.random.default_rng(args.seed)
     max_mode = min(32, args.n // 3)
-    worst = 0.0
+    worst = size = 0.0
     for _ in range(args.trials):
         u = spectral.random_trig_field(args.n, max_mode, rng)
         direct = inertia.invert(inertia.MU_MINUS_DXX, u)
         nested = inertia.invert_mu_dxx_integral(u)
-        worst = max(worst, float(np.max(np.abs(nested - direct))))
-    ok = worst <= 1e-10
+        # np.maximum keeps a NaN deviation, which then fails the check
+        worst = np.maximum(worst, np.max(np.abs(nested - direct)))
+        size = max(size, float(np.max(np.abs(u))))
+    # both inverses are exact, so the deviation is round-off, which grows
+    # with the size of the fields
+    ok = worst <= 1e-10 * max(1.0, size)
     if not args.quiet:
         print(f"max deviation over {args.trials} trials (n={args.n}, "
               f"modes<={max_mode}): {worst:.3e} -> {'ok' if ok else 'FAIL'}")

@@ -22,6 +22,12 @@ Off-grid evaluation, :func:`evaluate` from samples or
 :func:`evaluate_rfft` from rfft coefficients, sums the Fourier series
 exactly as baby-step/giant-step powers of e^{2 pi i x}: O(N len(x)) flops
 in one complex GEMM and O(sqrt(N) len(x)) memory.
+
+:func:`trig_field` builds a field as an exact per-mode sum of sampled
+cosines and sines; initial fields use it.  Random test fields,
+:func:`random_trig_field`, come from one inverse rfft of their drawn
+coefficients instead: O(N log N), equal to the per-mode sum of the same
+draws up to round-off.
 """
 
 from __future__ import annotations
@@ -298,7 +304,10 @@ def evaluate_rfft(c: np.ndarray, x) -> np.ndarray:
 
 
 def trig_field(n: int, mean_value: float = 0.0, cos=(), sin=()) -> np.ndarray:
-    """Build mean + sum_j cos[j-1] cos(2 pi j x) + sin[j-1] sin(2 pi j x)."""
+    """Build mean + sum_j cos[j-1] cos(2 pi j x) + sin[j-1] sin(2 pi j x).
+
+    An exact per-mode sum: one sampled cosine or sine per coefficient.
+    """
     cos = np.asarray(cos, dtype=float)
     sin = np.asarray(sin, dtype=float)
     if max(cos.size, sin.size) >= n // 2:
@@ -314,7 +323,11 @@ def trig_field(n: int, mean_value: float = 0.0, cos=(), sin=()) -> np.ndarray:
 
 def random_trig_field(n: int, max_mode: int, rng: np.random.Generator,
                       decay: float = 2.0, mean_value: float | None = None) -> np.ndarray:
-    """Random band-limited field with coefficients damped like k**-decay."""
+    """Random band-limited field with coefficients damped like k**-decay.
+
+    The field is ``trig_field(n, m, a, b)`` for the drawn m, a and b, up to
+    round-off, sampled by one inverse rfft: O(n log n).
+    """
     if max_mode >= n // 2:
         raise ValueError("max_mode must stay below the Nyquist mode")
     k = np.arange(1, max_mode + 1)
@@ -322,4 +335,8 @@ def random_trig_field(n: int, max_mode: int, rng: np.random.Generator,
     a = rng.standard_normal(max_mode) * amp
     b = rng.standard_normal(max_mode) * amp
     m = float(rng.standard_normal()) if mean_value is None else float(mean_value)
-    return trig_field(n, m, a, b)
+    # irfft samples (1/n)(c_0 + 2 Re sum_k c_k e^{2 pi i k x})
+    c = np.zeros(n // 2 + 1, dtype=complex)
+    c[0] = n * m
+    c[1:max_mode + 1] = (n / 2) * (a - 1j * b)
+    return np.fft.irfft(c, n)

@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mubflow import cli, dynamics
+from mubflow import cli, dynamics, inertia, spectral
 from mubflow.dynamics import DIAGNOSTICS_COLUMNS
 
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
@@ -162,6 +164,37 @@ def test_simulate_rejects_short_diagonal_symbol(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: inertia.symbol:") and "|k| = 2" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("config", [
+    PRESETS / "burgers_shock.json", PRESETS / "mu_ch_conservation.json", None,
+], ids=["burgers_shock", "mu_ch_conservation", "diagonal"])
+def test_summary_json_is_json_dumps(tmp_path, monkeypatch, config):
+    if config is None:
+        config = write_config(tmp_path, t_end=0.01,
+                              inertia={"kind": "diagonal", "symbol": DIAGONAL, "scale": 0.5})
+    summaries = []
+    text = cli.json_text
+    monkeypatch.setattr(cli, "json_text", lambda value: summaries.append(value) or text(value))
+    cli.main(["simulate", str(config), "--out", str(tmp_path / "o"), "--quiet"])
+    [summary] = summaries
+    written = (tmp_path / "o" / "summary.json").read_text()
+    assert written == json.dumps(summary, indent=2) + "\n"
+
+
+def test_simulate_leaves_no_reference_cycles(tmp_path):
+    cfg = write_config(tmp_path, t_end=0.01)
+    argv = ["simulate", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]
+    assert cli.main(argv) == 0
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        assert cli.main(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_simulate_validates_the_config_once(tmp_path, monkeypatch):
@@ -354,6 +387,42 @@ def test_check_inverse_low_resolution(capsys):
     assert "modes<=5" in capsys.readouterr().out
 
 
+CHECK_INVERSE_LINE = re.compile(
+    r"max deviation over (\d+) trials \(n=(\d+), modes<=(\d+)\): \S+ -> (ok|FAIL)\n")
+
+
+def test_check_inverse_bound_scales_with_the_fields(capsys, monkeypatch):
+    # the round-off of fields of size 1e8 is far above 1e-10, and far below
+    # 1e-10 of their size
+    draw = spectral.random_trig_field
+    monkeypatch.setattr(spectral, "random_trig_field", lambda *a, **k: 1e8 * draw(*a, **k))
+    assert cli.main(["check-inverse", "--n", "256", "--trials", "5"]) == 0
+    assert CHECK_INVERSE_LINE.fullmatch(capsys.readouterr().out).group(4) == "ok"
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e8])
+def test_check_inverse_fails_a_deviation_of_its_size(capsys, monkeypatch, scale):
+    draw, invert = spectral.random_trig_field, inertia.invert_mu_dxx_integral
+    monkeypatch.setattr(spectral, "random_trig_field", lambda *a, **k: scale * draw(*a, **k))
+    monkeypatch.setattr(inertia, "invert_mu_dxx_integral",
+                        lambda f: invert(f) + 1e-9 * np.max(np.abs(f)))
+    assert cli.main(["check-inverse", "--n", "256", "--trials", "5"]) == 2
+    assert CHECK_INVERSE_LINE.fullmatch(capsys.readouterr().out).group(4) == "FAIL"
+
+
+def test_check_inverse_fails_a_nan_deviation(capsys, monkeypatch):
+    invert = inertia.invert_mu_dxx_integral
+
+    def nan_at_one_point(f):
+        out = invert(f)
+        out[3] = np.nan
+        return out
+
+    monkeypatch.setattr(inertia, "invert_mu_dxx_integral", nan_at_one_point)
+    assert cli.main(["check-inverse", "--n", "64", "--trials", "3"]) == 2
+    assert capsys.readouterr().out.endswith(": nan -> FAIL\n")
+
+
 def test_residual_command(capsys):
     assert cli.main(["residual", "--b", "3", "--mode", "1"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -404,7 +473,10 @@ def test_bad_argument_exits_1_naming_the_flag(tmp_path, capsys, argv, flag):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("n", ["4", "6"])
+@pytest.mark.parametrize("n", ["4", "6", "8", "1024"])
 def test_check_inverse_smallest_grids(capsys, n):
-    assert cli.main(["check-inverse", "--n", n, "--trials", "2"]) == 0
-    assert "ok" in capsys.readouterr().out
+    max_mode = str(min(32, int(n) // 3))
+    for trials in ("1", "3"):
+        assert cli.main(["check-inverse", "--n", n, "--trials", trials]) == 0
+        out = capsys.readouterr().out
+        assert CHECK_INVERSE_LINE.fullmatch(out).groups() == (trials, n, max_mode, "ok")

@@ -482,3 +482,38 @@ def test_evaluate_and_derivative_reject_bad_grid_size(size):
 def test_evaluate_rejects_a_stack_of_fields():
     with pytest.raises(ValueError, match="one-dimensional"):
         sp.evaluate(np.zeros((2, 8)), 0.3)
+
+
+# random trial fields --------------------------------------------------------
+
+
+def _max_modes(n):
+    # every max_mode below Nyquist on small grids, a spread on large ones
+    if n <= 64:
+        return range(1, n // 2)
+    return sorted({1, 2, 3, 32, n // 3, n // 2 - 2, n // 2 - 1})
+
+
+@pytest.mark.parametrize("mean_value", [None, -0.75])
+@pytest.mark.parametrize("n", [4, 6, 8, 64, 1024, 4096])
+def test_random_trig_field_matches_trig_field_of_its_draws(n, mean_value):
+    for max_mode in _max_modes(n):
+        seed = 1000 * n + max_mode
+        field = sp.random_trig_field(n, max_mode, np.random.default_rng(seed),
+                                     mean_value=mean_value)
+        # the same draws, in the same order
+        rng = np.random.default_rng(seed)
+        amp = (1.0 + np.arange(1, max_mode + 1)) ** -2.0
+        a = rng.standard_normal(max_mode) * amp
+        b = rng.standard_normal(max_mode) * amp
+        m = float(rng.standard_normal()) if mean_value is None else mean_value
+        size = abs(m) + np.sum(np.abs(a)) + np.sum(np.abs(b))
+        assert np.max(np.abs(field - sp.trig_field(n, m, a, b))) <= 1e-13 * size, (n, max_mode)
+        again = sp.random_trig_field(n, max_mode, np.random.default_rng(seed),
+                                     mean_value=mean_value)
+        assert np.array_equal(field, again)
+
+
+def test_random_trig_field_rejects_the_nyquist_mode():
+    with pytest.raises(ValueError, match="Nyquist"):
+        sp.random_trig_field(8, 4, np.random.default_rng(0))
