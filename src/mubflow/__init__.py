@@ -12,9 +12,8 @@ from .dynamics import (DiagnosticsRow, FlowSeries, SimulationConfig,
 from .inertia import (InertiaSpec, MU_MINUS_DXX, NEG_DXX, IDENTITY, apply,
                       check_symmetry, invert, invert_mu_dxx_integral,
                       normalize)
-from .spectral import (Antiderivative, antiderivative_from_zero, derivative,
-                       evaluate, grid, inner_l2, inner_mu, inverse_transform,
-                       mean, product, random_trig_field, transform,
-                       trig_field)
+from .spectral import (derivative, evaluate, grid, inner_l2, inner_mu,
+                       inverse_transform, mean, product, random_trig_field,
+                       transform, trig_field)
 
 __version__ = "0.1.0"

@@ -216,7 +216,8 @@ def _cmd_residual(args) -> int:
 # fails its test gives exit 1 with "error: --flag: message"
 _FINITE = (math.isfinite, "must be a finite real number")
 _AT_LEAST_1 = (lambda v: v >= 1, "must be an integer >= 1")
-_GRID = (lambda v: v >= 4 and v % 2 == 0, "must be an even integer >= 4")
+_GRID = (lambda v: 4 <= v <= dynamics.MAX_N and v % 2 == 0,
+         f"must be an even integer from 4 to {dynamics.MAX_N}")
 # classify's trial fields live on a 64-point grid, below its Nyquist mode 32
 _TRIAL_MODES = (lambda v: 1 <= v <= 31, "must be an integer from 1 to 31")
 # the secular and off-diagonal scans build O(max_k) Python objects

@@ -1,19 +1,17 @@
 """Geodesic-type dynamics on circle fields: bilinear operators, time
 stepping, flow-map reconstruction and conserved-quantity diagnostics.
 
-Two equivalent right-hand sides are provided:
+One right-hand side serves the whole b-family over an inertia operator L:
+m = Lu evolves by m_t + u m_x + b u_x m = 0, resolved for u_t as
+u_t = -L^{-1}(b m u_x + u m_x).  The Euler equation of an inertia
+operator A, u_t = -A^{-1}(2 (Au) u_x + u (Au)_x), is its b = 2 member over
+L = A; the mu-b family is the member over L = mu - d_xx.
 
-* ``euler_rhs(A, u)``  -- velocity form for an inertia operator A:
-  u_t = -A^{-1}(2 (Au) u_x + u (Au)_x).
-* ``mub_rhs(b, u)``    -- momentum form of the mu-b family with
-  m = mu(u) - u_xx, resolved for u_t by inverting the mean-minus-second-
-  derivative operator on m_x u + b m u_x.  b = 2 reproduces ``euler_rhs``
-  with that same operator.
-
-Both are grid wrappers over one coefficient-space map,
-``coefficient_rhs(form, n, ...)``, which takes rfft(u) to rfft(u_t) with
-its derivative, symbol and inverse-symbol tables built once.  Each takes
-one field or a stack of fields, one per row, in one pass of the kernel.
+* ``coefficient_rhs(n, spec, b)`` takes rfft(u) to rfft(u_t) with its
+  derivative, symbol and inverse-symbol tables built once.
+* ``euler_rhs(A, u)`` and ``mub_rhs(b, u, spec=L)`` are its grid
+  wrappers, at b = 2 and at any b.  Each takes one field or a stack of
+  fields, one per row, in one pass of the kernel.
 
 The Lie bracket convention is [u, v] = u v_x - u_x v; only the
 antisymmetric half of the covariant derivative depends on this choice.
@@ -58,11 +56,14 @@ __all__ = [
     "STATUS_BLOWUP",
     "STATUS_DIFFEO_LOST",
     "INITIAL_PRESETS",
+    "MAX_N",
 ]
 
 STATUS_COMPLETED = "completed"
 STATUS_BLOWUP = "blow-up suspected"
 STATUS_DIFFEO_LOST = "diffeomorphism lost"
+# largest grid size a run or a CLI check accepts
+MAX_N = 2 ** 20
 
 
 def _spectra(*fields) -> tuple:
@@ -102,37 +103,30 @@ def covariant_derivative(spec: InertiaSpec, u: np.ndarray, v: np.ndarray,
     return 0.5 * lie_bracket(u, v, dealias) + christoffel(spec, u, v, dealias)
 
 
-def coefficient_rhs(form: str, n: int, spec: InertiaSpec = inertia.MU_MINUS_DXX,
-                    b: float = 2.0, dealias: bool = True):
-    """The map rfft(u) -> rfft(u_t) on the n-point grid, its tables built once.
+def coefficient_rhs(n: int, spec: InertiaSpec = inertia.MU_MINUS_DXX, b: float = 2.0,
+                    dealias: bool = True):
+    """The map rfft(u) -> rfft(u_t) of the b-equation over L = ``spec``, tables built once.
 
-    ``form`` "euler" is the velocity form of ``spec``,
-    u_t = -A^{-1}(2 (Au) u_x + u (Au)_x); "mub" is the mu-b family at ``b``,
-    m_t = -(m_x u + b m u_x) with m = mu(u) - u_xx, resolved for u_t (``spec``
-    is then the mean-minus-second-derivative operator).  The bracket has
-    zero mean analytically; for ``neg_dxx`` its round-off mean is projected
-    out by the inverse.  The map takes c of shape (..., n/2 + 1), one field
-    or a stack of them along the leading axes.  Each call fills one factor
-    block for :func:`spectral.quadratic` in place and divides its result in
-    place by the negated symbol.
+    u_t = -L^{-1}(b m u_x + u m_x) with m = Lu on the n-point grid: the
+    momentum form m_t + u m_x + b u_x m = 0 resolved for u_t.  At b = 2 it
+    is the velocity form of A = L.  The bracket has zero mean
+    analytically; for ``neg_dxx`` its round-off mean is projected out by
+    the inverse.  The map takes c of shape (..., n/2 + 1), one field or a
+    stack of them along the leading axes.  Each call fills one factor block
+    (m, u_x, u, m_x) for :func:`spectral.quadratic` in place and divides
+    its result in place by the negated symbol.
     """
-    if form == "mub":
-        spec = inertia.MU_MINUS_DXX
-        # m_x u + b m u_x with m = Au: rows m_x, u, m, u_x
-        weights, (a_row, a_x_row, u_row, u_x_row) = (1.0, b), (2, 0, 1, 3)
-    else:
-        # 2 (Au) u_x + u (Au)_x: rows Au, u_x, u, (Au)_x
-        weights, (a_row, a_x_row, u_row, u_x_row) = (2.0, 1.0), (0, 3, 2, 1)
+    weights = (b, 1.0)
     d = spectral.derivative_multiplier(n)
     s = spec.multipliers(n)
     negated = -inertia.divisors(spec, n)
 
     def rhs(c):
         block = np.empty((4,) + c.shape, dtype=complex)
-        a = np.multiply(s, c, out=block[a_row])
-        np.multiply(d, a, out=block[a_x_row])
-        block[u_row] = c
-        np.multiply(d, c, out=block[u_x_row])
+        m = np.multiply(s, c, out=block[0])
+        np.multiply(d, c, out=block[1])
+        block[2] = c
+        np.multiply(d, m, out=block[3])
         q = spectral.quadratic(weights, block, n, dealias)
         q /= negated
         return q
@@ -143,21 +137,23 @@ def coefficient_rhs(form: str, n: int, spec: InertiaSpec = inertia.MU_MINUS_DXX,
 def euler_rhs(spec: InertiaSpec, u: np.ndarray, dealias: bool = True) -> np.ndarray:
     """Velocity-form right-hand side u_t = -A^{-1}(2 (Au) u_x + u (Au)_x) on the grid.
 
-    ``u`` is one field or a stack of fields, one per row along the last axis.
+    This is :func:`mub_rhs` at b = 2 over ``spec``.  ``u`` is one field or
+    a stack of fields, one per row along the last axis.
     """
     n, _, c = _spectra(u)
-    return np.fft.irfft(coefficient_rhs("euler", n, spec, dealias=dealias)(c), n)
+    return np.fft.irfft(coefficient_rhs(n, spec, 2.0, dealias)(c), n)
 
 
-def mub_rhs(b: float, u: np.ndarray, dealias: bool = True) -> np.ndarray:
-    """mu-b family right-hand side, resolved for u_t, on the grid.
+def mub_rhs(b: float, u: np.ndarray, dealias: bool = True,
+            spec: InertiaSpec = inertia.MU_MINUS_DXX) -> np.ndarray:
+    """b-equation right-hand side over L = ``spec``, resolved for u_t, on the grid.
 
-    m = mu(u) - u_xx evolves by m_t = -(m_x u + b m u_x); applying the
-    inverse of the mean-minus-second-derivative operator gives u_t.  ``u``
-    is one field or a stack of fields, one per row along the last axis.
+    m = Lu evolves by m_t = -(u m_x + b u_x m); applying L^{-1} gives u_t.
+    The default L = mu - d_xx is the mu-b family.  ``u`` is one field or a
+    stack of fields, one per row along the last axis.
     """
     n, _, c = _spectra(u)
-    return np.fft.irfft(coefficient_rhs("mub", n, b=b, dealias=dealias)(c), n)
+    return np.fft.irfft(coefficient_rhs(n, spec, b, dealias)(c), n)
 
 
 def step_rk4(rhs, u: np.ndarray, dt: float) -> np.ndarray:
@@ -191,7 +187,7 @@ class SimulationConfig:
     t_end: float = 0.5
     output_every: int = 10
     form: str = "euler"                        # "euler" | "mub"
-    b: float = 2.0                             # used by the mub form
+    b: float = 2.0                             # mub only; euler is the b = 2 member
     inertia: InertiaSpec = field(default_factory=InertiaSpec.mu_minus_dxx)
     initial: dict = field(default_factory=lambda: {"type": "preset", "name": "mucauchy"})
     dealias: bool = True
@@ -241,8 +237,8 @@ def _prepare(config: SimulationConfig) -> tuple:
         value = getattr(config, name)
         if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
             raise ValueError(f"{name}: must be an integer >= {low}, got {value!r}")
-    if config.n % 2:
-        raise ValueError("n: grid size must be even")
+    if config.n % 2 or config.n > MAX_N:
+        raise ValueError(f"n: grid size must be even and at most {MAX_N}, got {config.n!r}")
     for name in ("dt", "t_end", "blowup_threshold"):
         if not inertia.finite_real(getattr(config, name), name) > 0.0:
             raise ValueError(f"{name}: must be positive")
@@ -255,13 +251,11 @@ def _prepare(config: SimulationConfig) -> tuple:
         raise ValueError("form: must be 'euler' or 'mub'")
     if not isinstance(config.inertia, InertiaSpec):
         raise ValueError("inertia: must be an InertiaSpec")
-    try:
-        rhs = coefficient_rhs(config.form, config.n, config.inertia, b, config.dealias)
-    except ValueError as exc:
-        # a diagonal table that stops short of |k| = n/2
-        raise ValueError(f"inertia.symbol: {exc}") from None
+    # the velocity form is the b = 2 member of the family
+    rhs = coefficient_rhs(config.n, config.inertia, 2.0 if config.form == "euler" else b,
+                          config.dealias)
     u0 = initial_field(config)
-    if config.form == "euler" and config.inertia.kind == "neg_dxx":
+    if config.inertia.kind == "neg_dxx":
         if not inertia.mean_is_zero(u0):
             raise ValueError(
                 "initial: -d_xx dynamics require mean-zero initial data "
@@ -333,7 +327,6 @@ def simulate(config: SimulationConfig, observe=None) -> SimulationResult:
     without it the result keeps every accepted step instead.
     """
     u, rhs = _prepare(config)
-    spec_diag = inertia.MU_MINUS_DXX if config.form == "mub" else config.inertia
     n = config.n
     dt = float(config.dt)
     steps = _step_count(config.dt, config.t_end)
@@ -359,7 +352,7 @@ def simulate(config: SimulationConfig, observe=None) -> SimulationResult:
     rows = []
 
     def emit(s, u, g):
-        rows.append(diagnostics(spec_diag, u, s * dt, g))
+        rows.append(diagnostics(config.inertia, u, s * dt, g))
         if observe is not None:
             observe(s, u, g)
         return rows[-1]

@@ -124,7 +124,7 @@ class InertiaSpec:
             table = dict(self.symbol)
             missing = [int(j) for j in np.ravel(k) if int(j) not in table]
             if missing:
-                raise ValueError(f"diagonal symbol has no entry for |k| = {missing[0]}")
+                raise ValueError(f"inertia.symbol: no entry for |k| = {missing[0]}")
             base = np.vectorize(table.__getitem__, otypes=[float])(k)
         return self.scale * base
 

@@ -33,7 +33,6 @@ draws up to round-off.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -52,9 +51,7 @@ __all__ = [
     "product",
     "inner_l2",
     "inner_mu",
-    "Antiderivative",
     "running_integrals",
-    "antiderivative_from_zero",
     "evaluate",
     "evaluate_rfft",
     "trig_field",
@@ -197,17 +194,6 @@ def inner_mu(f: np.ndarray, g: np.ndarray) -> float:
     return mean(f) * mean(g) + inner_l2(derivative(f, 1), derivative(g, 1))
 
 
-class Antiderivative(NamedTuple):
-    """Running integral F(x) = int_0^x f, sampled on the grid.
-
-    F is generally non-periodic: F(x + 1) = F(x) + slope with slope equal
-    to the mean of f.
-    """
-
-    values: np.ndarray
-    slope: float
-
-
 def running_integrals(f: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact nested running integrals I_j(x) = int_0^x I_{j-1} of I_0 = f.
 
@@ -237,17 +223,6 @@ def running_integrals(f: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray
         samples[j] = np.polynomial.polynomial.polyval(x, poly) + np.fft.irfft(w, n)
         at_one[j] = np.polynomial.polynomial.polyval(1.0, poly) + trig
     return samples, at_one
-
-
-def antiderivative_from_zero(f: np.ndarray) -> Antiderivative:
-    """The first of :func:`running_integrals`, with slope the mean of f.
-
-    Mode k != 0 contributes c_k (e^{2 pi i k x} - 1)/(2 pi i k) and the mean
-    contributes slope*x.  The Nyquist cosine integrates to a sine that
-    vanishes at every grid point, so the returned samples are exact.
-    """
-    samples, _ = running_integrals(f, 1)
-    return Antiderivative(samples[0], mean(f))
 
 
 def _powers(w: np.ndarray, m: int) -> np.ndarray:

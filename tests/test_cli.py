@@ -166,6 +166,14 @@ def test_simulate_rejects_short_diagonal_symbol(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_mub_on_neg_dxx_rejects_a_nonzero_mean(tmp_path, capsys):
+    cfg = write_config(tmp_path, form="mub", b=3.0, inertia={"kind": "neg_dxx"})
+    out = tmp_path / "out"
+    assert cli.main(["simulate", str(cfg), "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith("error: initial: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("config", [
     PRESETS / "burgers_shock.json", PRESETS / "mu_ch_conservation.json", None,
 ], ids=["burgers_shock", "mu_ch_conservation", "diagonal"])
@@ -241,6 +249,9 @@ def test_snapshot_writer_matches_fmt(tmp_path):
     ("output_every", {"output_every": True}),
     ("n", {"n": 256.0}),
     ("inertia.lam", {"inertia": {"kind": "helmholtz", "lam": "z"}}),
+    # grid sizes past 2**20: tables that no memory holds
+    ("n", {"n": 1099511627776}),
+    ("n", {"n": 4611686018427387904}),
 ])
 def test_simulate_rejects_mistyped_field(tmp_path, capsys, field, overrides):
     cfg = write_config(tmp_path, **overrides)
@@ -462,6 +473,8 @@ def test_residual_rejects_zero_mode(capsys):
     (["classify", "--b", "1", "--modes", "32"], "--modes"),
     (["classify", "--b", "1", "--modes", "1000"], "--modes"),
     (["classify", "--b", "1", "--max-k", "10001"], "--max-k"),
+    (["check-inverse", "--n", "1099511627776"], "--n"),
+    (["residual", "--b", "3", "--mode", "1", "--n", "1099511627776"], "--n"),
 ])
 def test_bad_argument_exits_1_naming_the_flag(tmp_path, capsys, argv, flag):
     out = tmp_path / "report"

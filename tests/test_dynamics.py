@@ -225,7 +225,7 @@ def test_rk4_matches_the_textbook_sum_bit_for_bit(state):
     n = 128
     u = rand_field(n, 40, seed=12)
     if state == "complex":
-        rhs, w = dy.coefficient_rhs("mub", n, b=-1.3), np.fft.rfft(u)
+        rhs, w = dy.coefficient_rhs(n, b=-1.3), np.fft.rfft(u)
     else:
         rhs, w = (lambda v: -v * sp.derivative(v, 1)), u
     before = w.copy()
@@ -248,12 +248,12 @@ def test_rhs_on_a_stack_equals_per_row_calls(dealias):
         assert np.array_equal(rhs(stack.reshape(2, 3, 64)), rows.reshape(2, 3, 64))
 
 
-@pytest.mark.parametrize("form", ["euler", "mub"])
-def test_rk4_step_memory_is_bounded_by_the_state(form):
+@pytest.mark.parametrize("b", [2.0, -1.3], ids=["euler", "mub"])
+def test_rk4_step_memory_is_bounded_by_the_state(b):
     import tracemalloc
 
     n = 4096
-    rhs = dy.coefficient_rhs(form, n, b=-1.3)
+    rhs = dy.coefficient_rhs(n, b=b)
     c = np.fft.rfft(rand_field(n, 64, seed=13))
     dy.step_rk4(rhs, c, 1e-5)
     tracemalloc.start()
@@ -391,7 +391,7 @@ def _grid_space_run(cfg):
     # the reference loop: RK4 on grid samples through the public grid RHS
     def rhs(w):
         if cfg.form == "mub":
-            return dy.mub_rhs(cfg.b, w, cfg.dealias)
+            return dy.mub_rhs(cfg.b, w, cfg.dealias, cfg.inertia)
         return dy.euler_rhs(cfg.inertia, w, cfg.dealias)
 
     state = dy.initial_field(cfg)
@@ -415,8 +415,9 @@ def _grid_space_run(cfg):
     dict(form="mub", b=-1.3),
     dict(form="mub", b=3.5, dealias=False, track_flow=True),
     dict(track_flow=True),
+    dict(form="mub", b=3.0, inertia=io.InertiaSpec.helmholtz(1.0)),
 ], ids=["mu_minus_dxx", "helmholtz-aliased", "neg_dxx", "diagonal", "mub", "mub-aliased-tracked",
-        "tracked"])
+        "tracked", "mub-helmholtz"])
 def test_coefficient_stepping_matches_grid_loop(overrides):
     cfg = dy.SimulationConfig(**{**dict(n=64, dt=2e-3, t_end=0.1), **overrides})
     res = dy.simulate(cfg)
@@ -427,6 +428,44 @@ def test_coefficient_stepping_matches_grid_loop(overrides):
     assert np.max(np.abs(res.u_history - u_ref)) <= 1e-13 * np.max(np.abs(u_ref))
     if cfg.track_flow:
         assert np.max(np.abs(res.flow_history - ref[:, 1])) <= 1e-13
+
+
+# mub over any L -------------------------------------------------------------------
+
+def test_mub_evolves_the_configured_inertia():
+    base = dict(n=64, dt=1e-3, t_end=0.1, form="mub")
+    helmholtz = dy.simulate(dy.SimulationConfig(**base, inertia=io.InertiaSpec.helmholtz(1.0)))
+    mu = dy.simulate(dy.SimulationConfig(**base))
+    # measured 1.9e-4: 1 - d_xx is not mu - d_xx
+    assert np.max(np.abs(helmholtz.u_history[-1] - mu.u_history[-1])) > 1e-5
+
+
+@pytest.mark.parametrize("spec", [
+    io.InertiaSpec.helmholtz(0.5),
+    io.InertiaSpec.diagonal({k: 1.0 + 0.7 * k ** 1.5 for k in range(33)}),
+    io.NEG_DXX,
+], ids=["helmholtz", "diagonal", "neg_dxx"])
+def test_mub_at_b2_is_euler_bit_for_bit(spec):
+    base = dict(n=64, dt=2e-3, t_end=0.1, inertia=spec, track_flow=True,
+                initial={"type": "trig", "cos": [0.3, 0.1], "sin": [0.2]})
+    euler = dy.simulate(dy.SimulationConfig(**base))
+    mub = dy.simulate(dy.SimulationConfig(**base, form="mub", b=2.0))
+    assert np.array_equal(mub.u_history, euler.u_history)
+    assert np.array_equal(mub.flow_history, euler.flow_history)
+    assert [vars(r) for r in mub.rows] == [vars(r) for r in euler.rows]
+
+
+def test_dp_on_one_minus_dxx_conserves_the_mean_momentum():
+    # b = 3 over 1 - d_xx (Degasperis-Procesi): int m is invariant
+    cfg = dy.SimulationConfig(n=64, dt=1e-3, t_end=0.5, form="mub", b=3.0,
+                              inertia=io.InertiaSpec.helmholtz(1.0),
+                              initial={"type": "trig", "mean": 0.3, "cos": [0.2, 0.05],
+                                       "sin": [0.1]})
+    res = dy.simulate(cfg)
+    mu_m = np.array([r.mu_m for r in res.rows])
+    assert res.status == dy.STATUS_COMPLETED
+    # measured 4.4e-16
+    assert np.max(np.abs(mu_m - mu_m[0])) <= 1e-10
 
 
 # flow maps -----------------------------------------------------------------------
