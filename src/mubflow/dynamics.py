@@ -57,6 +57,7 @@ __all__ = [
     "STATUS_DIFFEO_LOST",
     "INITIAL_PRESETS",
     "MAX_N",
+    "MAX_STEPS",
 ]
 
 STATUS_COMPLETED = "completed"
@@ -64,6 +65,8 @@ STATUS_BLOWUP = "blow-up suspected"
 STATUS_DIFFEO_LOST = "diffeomorphism lost"
 # largest grid size a run or a CLI check accepts
 MAX_N = 2 ** 20
+# most RK4 steps a run accepts; the longest shipped run takes 1000
+MAX_STEPS = 10 ** 7
 
 
 def _spectra(*fields) -> tuple:
@@ -187,7 +190,7 @@ class SimulationConfig:
     t_end: float = 0.5
     output_every: int = 10
     form: str = "euler"                        # "euler" | "mub"
-    b: float = 2.0                             # mub only; euler is the b = 2 member
+    b: float = 2.0                             # euler is the b = 2 member and takes no other
     inertia: InertiaSpec = field(default_factory=InertiaSpec.mu_minus_dxx)
     initial: dict = field(default_factory=lambda: {"type": "preset", "name": "mucauchy"})
     dealias: bool = True
@@ -220,7 +223,11 @@ class SimulationResult:
 
 
 def _step_count(dt: float, t_end: float) -> int:
-    steps = int(round(t_end / dt))
+    ratio = t_end / dt
+    # checked before int(): a subnormal dt makes the ratio inf
+    if not ratio < MAX_STEPS + 0.5:
+        raise ValueError(f"dt: t_end/dt must be at most {MAX_STEPS} steps, got {ratio:.3g}")
+    steps = int(round(ratio))
     if steps < 1 or abs(steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
         raise ValueError("t_end: must be an integer number of dt steps")
     return steps
@@ -249,11 +256,12 @@ def _prepare(config: SimulationConfig) -> tuple:
             raise ValueError(f"{name}: must be true or false")
     if config.form not in ("euler", "mub"):
         raise ValueError("form: must be 'euler' or 'mub'")
+    # the velocity form is the b = 2 member of the family and takes no other b
+    if config.form == "euler" and b != 2.0:
+        raise ValueError(f"b: the euler form is the b = 2 member, got {config.b!r}")
     if not isinstance(config.inertia, InertiaSpec):
         raise ValueError("inertia: must be an InertiaSpec")
-    # the velocity form is the b = 2 member of the family
-    rhs = coefficient_rhs(config.n, config.inertia, 2.0 if config.form == "euler" else b,
-                          config.dealias)
+    rhs = coefficient_rhs(config.n, config.inertia, b, config.dealias)
     u0 = initial_field(config)
     if config.inertia.kind == "neg_dxx":
         if not inertia.mean_is_zero(u0):

@@ -252,6 +252,11 @@ def test_snapshot_writer_matches_fmt(tmp_path):
     # grid sizes past 2**20: tables that no memory holds
     ("n", {"n": 1099511627776}),
     ("n", {"n": 4611686018427387904}),
+    # runs that would never end: 1e300 steps, and a step count of inf
+    ("dt", {"n": 8, "dt": 1e-300, "t_end": 1.0, "output_every": 1000000000}),
+    ("dt", {"n": 8, "dt": 5e-324, "t_end": 1.0}),
+    # the velocity form is the b = 2 member and takes no other b
+    ("b", {"b": 7.5}),
 ])
 def test_simulate_rejects_mistyped_field(tmp_path, capsys, field, overrides):
     cfg = write_config(tmp_path, **overrides)
@@ -310,7 +315,8 @@ def test_simulate_rejects_duplicate_diagonal_mode(tmp_path, capsys):
     {"inertia": {"kind": "diagonal", "symbol": DIAGONAL, "scale": 0.5}},
     {"initial": {"type": "trig", "mean": 0.1, "cos": [0.2], "sin": [0.1]}},
     {"initial": {"type": "preset", "name": "cos1"}},
-], ids=["mu_minus_dxx", "neg_dxx", "helmholtz", "diagonal", "trig", "preset"])
+    {"b": 2},
+], ids=["mu_minus_dxx", "neg_dxx", "helmholtz", "diagonal", "trig", "preset", "euler-b-2"])
 def test_simulate_accepts_every_field_it_reads(tmp_path, overrides):
     cfg = write_config(tmp_path, t_end=0.01, **overrides)
     assert cli.main(["simulate", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 0

@@ -433,11 +433,14 @@ def test_evaluate_matches_table_oracle(n):
         rng.uniform(1.0, 5.0, 64),
         np.float64(rng.uniform(-1.0, 2.0)),
         rng.uniform(-1.0, 2.0, (7, 9)),
+        # around the 256-point blocks of evaluate_rfft
+        *(rng.uniform(-1.0, 2.0, size) for size in (0, 1, 255, 256, 257, 1000)),
+        rng.uniform(-1.0, 2.0, (40, 9)),
     ]
     for x in points:
         got = sp.evaluate(f, x)
         assert got.shape == np.shape(x)
-        assert np.max(np.abs(got - table_oracle(f, x))) <= tol
+        assert np.max(np.abs(got - table_oracle(f, x)), initial=0.0) <= tol
     assert np.max(np.abs(sp.evaluate(f, sp.grid(n)) - f)) <= tol
 
 
@@ -464,6 +467,24 @@ def test_evaluate_memory_is_sublinear_in_the_table():
         tracemalloc.stop()
     # the (n/2 - 1) x n complex phase table alone is 134 MB
     assert peak <= 16e6
+
+
+def test_evaluate_memory_does_not_grow_with_the_tables_of_every_point():
+    import tracemalloc
+    n = 4096
+    rng = np.random.default_rng(4)
+    c = np.fft.rfft(rng.standard_normal(n))
+    x = rng.uniform(0.0, 1.0, 65536)
+    sp.evaluate_rfft(c, x)  # warm up first-call allocations
+    tracemalloc.start()
+    try:
+        sp.evaluate_rfft(c, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # blocks of 256 points measured 2.4-2.9 MB, most of it the 1 MB result
+    # and its real tail; tables for all points at once take 97.6 MB
+    assert peak <= 4e6
 
 
 def test_evaluate_passes_nan_through():
