@@ -370,7 +370,8 @@ def simulate(config: SimulationConfig, observe=None) -> SimulationResult:
     for s in range(1, steps + 1):
         new = step_rk4(advance, state, dt)
         u_new, g_new = fields(new)
-        if not np.all(np.isfinite(u_new)) or np.max(np.abs(u_new)) > config.blowup_threshold:
+        # also true when u_new holds a NaN or an inf
+        if not np.max(np.abs(u_new)) <= config.blowup_threshold:
             status = STATUS_BLOWUP
             if (s - 1) % config.output_every:
                 emit(s - 1, u, g)

@@ -20,9 +20,10 @@ exact on the rfft coefficients and cost one inverse rfft each, O(N log N).
 
 Off-grid evaluation, :func:`evaluate` from samples or
 :func:`evaluate_rfft` from rfft coefficients, sums the Fourier series
-exactly as baby-step/giant-step powers of e^{2 pi i x}: O(N len(x)) flops
-in one complex GEMM per block of 256 points, and O(sqrt(N)) memory per
-block plus O(len(x)) for the result.
+exactly in powers of z = e^{2 pi i x}: per block of 256 points one complex
+GEMM against the baby steps z^1..z^J, J ~ sqrt(N/2), and a Horner fold of
+its rows in z^J.  That is O(N len(x)) flops, and O(sqrt(N)) memory per
+block plus the real result.
 
 :func:`trig_field` builds a field as an exact per-mode sum of sampled
 cosines and sines; initial fields use it.  Random test fields,
@@ -227,17 +228,18 @@ def running_integrals(f: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray
 
 
 # points per block of off-grid evaluation: its tables are O(sqrt(n)) x 256.
-# Each block makes about 2 sqrt(n/2) numpy calls whatever its size, so a
+# Each block makes about 3 sqrt(n/2) numpy calls whatever its size (J - 1
+# multiplies for the baby steps, two in-place ops per Horner step), so a
 # smaller block pays that fixed cost more often: 128 halves the tables again
 # but is 1.35-1.46x slower at n = 256..4096 with n points, and 64 is 2-2.3x.
 _BLOCK = 256
 
 
 def _powers(w: np.ndarray, m: int) -> np.ndarray:
-    # rows w^0 .. w^(m-1) by repeated multiplication, one vectorised multiply
+    # rows w^1 .. w^m by repeated multiplication, one vectorised multiply
     # per row (a row loop is several times faster than multiply.accumulate)
     out = np.empty((m, w.size), dtype=complex)
-    out[0] = 1.0
+    out[0] = w
     for j in range(1, m):
         np.multiply(out[j - 1], w, out=out[j])
     return out
@@ -261,35 +263,43 @@ def evaluate(f: np.ndarray, x) -> np.ndarray:
 def evaluate_rfft(c: np.ndarray, x) -> np.ndarray:
     """Evaluate at arbitrary points the n-point field whose rfft is c.
 
-    With z = e^{2 pi i x} the modes k = aJ + j + 1 (J ~ sqrt(n/2)) are
-    summed as baby steps z^1..z^J times giant steps z^{aJ}: O(n len(x))
-    flops.  The points go through in blocks of 256, each with its own
-    tables and one complex GEMM, so the memory is O(sqrt(n)) per block
-    plus O(len(x)) for the result.
+    With z = e^{2 pi i x} the modes k = aJ + j (J ~ sqrt(n/2), j = 1..J)
+    are summed as one complex GEMM of the coefficients, scaled by 2/n,
+    against the baby steps z^1..z^J, and the A partial sums are folded by
+    Horner in z^J: O(n len(x)) flops.  The points go through in blocks of
+    256, each with its own baby table, so the memory is O(sqrt(n)) per
+    block plus the real result.
     """
     x = np.asarray(x, dtype=float)
     if np.ndim(c) != 1 or np.size(c) < 3:
         raise ValueError("coefficients must be the rfft of an even grid of at least 4 points")
     h = np.size(c) - 1
     n = 2 * h
-    c = c / n
-    # C[a, j] is the coefficient of mode k = a*J + j + 1, zero past h - 1;
-    # J = ceil(sqrt(h - 1)) baby steps, A = ceil((h - 1)/J) giant steps
+    # C[a, j - 1] is 2/n times the coefficient of mode k = a*J + j, zero past
+    # h - 1; J = ceil(sqrt(h - 1)) baby steps, A = ceil((h - 1)/J) giant steps.
+    # Dividing by n/2 rounds exactly as 2 (c/n).
     J = math.isqrt(h - 2) + 1
     A = -(-(h - 1) // J)
     C = np.zeros(A * J, dtype=complex)
-    C[:h - 1] = c[1:h]
+    np.divide(c[1:h], n / 2, out=C[:h - 1])
     C = C.reshape(A, J)
+    mean, nyquist = c[0].real / n, c[h].real / n
     flat = x.ravel()
-    s = np.empty(flat.size, dtype=complex)
+    out = np.empty(flat.size)
     for i in range(0, flat.size, _BLOCK):
-        baby = _powers(np.exp((2j * np.pi) * flat[i:i + _BLOCK]), J + 1)
-        # the giant steps are built after the baby steps are freed
-        zJ, partial = baby[-1].copy(), C @ baby[1:]
+        xb = flat[i:i + _BLOCK]
+        baby = _powers(np.exp((2j * np.pi) * xb), J)
+        # z^J is copied out so the baby table is freed before the fold;
+        # keeping it alive made n = 65536 1.2x slower
+        zJ, partial = baby[-1].copy(), C @ baby
         del baby
-        np.einsum("ap,ap->p", _powers(zJ, A), partial, out=s[i:i + _BLOCK])
-    s = s.reshape(x.shape)
-    return c[0].real + 2.0 * s.real + c[h].real * np.cos(np.pi * n * x)
+        s = partial[-1]
+        for a in range(A - 2, -1, -1):
+            s *= zJ
+            s += partial[a]
+        out[i:i + _BLOCK] = mean + s.real + nyquist * np.cos(np.pi * n * xb)
+    # [()] makes a scalar x give a scalar, as a ufunc does
+    return out.reshape(x.shape)[()]
 
 
 def trig_field(n: int, mean_value: float = 0.0, cos=(), sin=()) -> np.ndarray:

@@ -131,7 +131,11 @@ def snapshot_steps(out, prefix):
     (dict(inertia={"kind": "helmholtz", "lam": 0}, initial={"type": "trig", "sin": [0.1]},
           n=64, dt=1e-3, t_end=1, output_every=20, blowup_threshold=0.1005), 2,
      "blow-up suspected"),
-], ids=["completed", "diffeo_lost", "blowup"])
+    # the first step overflows to inf/NaN, which no threshold comparison
+    # passes (numpy warns of the overflow on the way)
+    (dict(n=16, initial={"type": "trig", "cos": [1e300]}, blowup_threshold=1e308), 2,
+     "blow-up suspected"),
+], ids=["completed", "diffeo_lost", "blowup", "non_finite"])
 def test_snapshots_match_diagnostics_rows(tmp_path, overrides, code, status):
     cfg = write_config(tmp_path, **overrides)
     out = tmp_path / "out"
@@ -393,6 +397,12 @@ def test_classify_accepts_the_largest_scan_range(capsys):
     assert not capsys.readouterr().err
 
 
+def test_check_inverse_accepts_the_largest_trial_count(capsys):
+    assert cli.main(["check-inverse", "--n", "4", "--trials", "10000"]) == 0
+    out = capsys.readouterr().out
+    assert CHECK_INVERSE_LINE.fullmatch(out).groups() == ("10000", "4", "1", "ok")
+
+
 def test_check_inverse_command(capsys):
     assert cli.main(["check-inverse", "--n", "256", "--seed", "0"]) == 0
     out = capsys.readouterr().out
@@ -481,6 +491,7 @@ def test_residual_rejects_zero_mode(capsys):
     (["classify", "--b", "1", "--max-k", "10001"], "--max-k"),
     (["check-inverse", "--n", "1099511627776"], "--n"),
     (["residual", "--b", "3", "--mode", "1", "--n", "1099511627776"], "--n"),
+    (["check-inverse", "--trials", "10001", "--n", "4"], "--trials"),
 ])
 def test_bad_argument_exits_1_naming_the_flag(tmp_path, capsys, argv, flag):
     out = tmp_path / "report"

@@ -413,7 +413,10 @@ def test_burgers_flow_matches_the_exact_flow(n, t_end, bound):
     (dy.STATUS_COMPLETED, dict(n=64, t_end=0.025, output_every=10, track_flow=True)),
     (dy.STATUS_BLOWUP, dict(BURGERS, blowup_threshold=0.1005)),
     (dy.STATUS_DIFFEO_LOST, dict(BURGERS, track_flow=True)),
-], ids=["completed", "blowup", "diffeo_lost"])
+    # the first step overflows to inf/NaN, which no threshold comparison passes
+    (dy.STATUS_BLOWUP, dict(n=16, initial={"type": "trig", "cos": [1e300]},
+                            blowup_threshold=1e308)),
+], ids=["completed", "blowup", "diffeo_lost", "non_finite"])
 def test_observer_gets_the_diagnostics_rows(status, overrides):
     cfg = dy.SimulationConfig(**overrides)
     dense = dy.simulate(cfg)

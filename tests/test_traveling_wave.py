@@ -10,10 +10,16 @@ collocation at x_j = j/48, j = 0..24: the unknowns are a_0, a_2..a_24 and
 K, with the amplitude a_1 = eps fixed and c the linear speed of mode 1
 about the mean M0 = 1.  A ``mub`` run of that wave must match its exact
 translate rfft(u0) e^{-2 pi i k c t} to RK4 accuracy.
+
+A tracked run's flow is exact too: in the co-moving frame a particle
+obeys xi' = phi(xi) - c, so g(T) - c T must equal xi(T) with xi(0) = x_j.
+xi(T) comes from scipy's DOP853 on the run's own cosine series, summed in
+numpy rather than through the solver's off-grid evaluation.
 """
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.optimize import root
 
 from mubflow import dynamics as dy
@@ -51,18 +57,41 @@ def traveling_wave(spec, b, eps, c):
     return coefficients(sol.x)
 
 
-def translation_error(spec, b, a, c, dt):
-    """max|u(T) - u0(x - c T)| / max|u0| of a mub run at step dt."""
+def run_wave(spec, b, a, dt, track_flow=False):
+    """A mub run of the wave a from 0 to T at step dt, rows at 0 and T only."""
     cfg = dy.SimulationConfig(
         n=N, dt=dt, t_end=T_END, output_every=round(T_END / dt), form="mub", b=b,
         inertia=spec, initial={"type": "trig", "mean": float(a[0]),
-                               "cos": a[1:RUN_MODES + 1].tolist()})
+                               "cos": a[1:RUN_MODES + 1].tolist()},
+        track_flow=track_flow)
     res = dy.simulate(cfg)
     assert res.status == dy.STATUS_COMPLETED
+    return res
+
+
+def translation_error(spec, b, a, c, dt):
+    """max|u(T) - u0(x - c T)| / max|u0| of a mub run at step dt."""
+    res = run_wave(spec, b, a, dt)
     u0 = res.u_history[0]
     shift = np.exp(-2j * np.pi * np.arange(N // 2 + 1) * c * T_END)
     exact = np.fft.irfft(np.fft.rfft(u0) * shift, N)
     return np.max(np.abs(res.u_history[-1] - exact)) / np.max(np.abs(u0))
+
+
+def comoving_particles(a, c):
+    """xi(T) of xi' = phi(xi) - c from the grid, phi the run's cosine series."""
+    a = a[:RUN_MODES + 1]
+    k = TWO_PI * np.arange(a.size)
+    sol = solve_ivp(lambda t, xi: np.cos(np.outer(xi, k)) @ a - c, (0.0, T_END),
+                    np.arange(N) / N, method="DOP853", rtol=1e-13, atol=1e-14)
+    assert sol.success, sol.message
+    return sol.y[:, -1]
+
+
+def flow_error(spec, b, a, c, exact, dt):
+    """max|g(T) - c T - xi(T)| of a tracked mub run at step dt."""
+    g = run_wave(spec, b, a, dt, track_flow=True).flow_history[-1]
+    return np.max(np.abs(g - c * T_END - exact))
 
 
 @pytest.mark.parametrize("eps", [0.005, 0.02])
@@ -76,3 +105,17 @@ def test_mub_run_translates_the_exact_traveling_wave(operator, b, eps):
     # measured: <= 1.7e-11, and a dt-halving ratio of 13.3 to 16.5 (RK4: 16)
     assert coarse <= 1e-10
     assert 12.0 <= coarse / fine <= 20.0
+
+
+@pytest.mark.parametrize("eps", [0.005, 0.02])
+@pytest.mark.parametrize("b", [2.0, 3.0, -1.3])
+@pytest.mark.parametrize("operator", sorted(OPERATORS))
+def test_tracked_flow_follows_the_comoving_particles(operator, b, eps):
+    spec, speed = OPERATORS[operator]
+    c = speed(b)
+    a = traveling_wave(spec, b, eps, c)
+    exact = comoving_particles(a, c)
+    coarse, fine = (flow_error(spec, b, a, c, exact, dt) for dt in (1e-3, 5e-4))
+    # measured: <= 5.3e-12, and a dt-halving ratio of 11.3 to 16.6 (RK4: 16)
+    assert coarse <= 5e-11
+    assert 10.0 <= coarse / fine <= 20.0
