@@ -22,8 +22,9 @@ Off-grid evaluation, :func:`evaluate` from samples or
 :func:`evaluate_rfft` from rfft coefficients, sums the Fourier series
 exactly in powers of z = e^{2 pi i x}: per block of 256 points one complex
 GEMM against the baby steps z^1..z^J, J ~ sqrt(N/2), and a Horner fold of
-its rows in z^J.  That is O(N len(x)) flops, and O(sqrt(N)) memory per
-block plus the real result.
+its rows in z^J.  That is O(N len(x)) flops; the working set is at most
+one block's two tables, (J + A)*256 complex values (188 kB at N = 1024),
+plus C and the result.
 
 :func:`trig_field` builds a field as an exact per-mode sum of sampled
 cosines and sines; initial fields use it.  Random test fields,
@@ -227,7 +228,9 @@ def running_integrals(f: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray
     return samples, at_one
 
 
-# points per block of off-grid evaluation: its tables are O(sqrt(n)) x 256.
+# points per block of off-grid evaluation.  At most one block's two tables
+# are alive, the baby steps and the GEMM result: (J + A)*256 complex values
+# (188 kB at n = 1024), plus C and the result.
 # Each block makes about 3 sqrt(n/2) numpy calls whatever its size (J - 1
 # multiplies for the baby steps, two in-place ops per Horner step), so a
 # smaller block pays that fixed cost more often: 128 halves the tables again
@@ -267,8 +270,9 @@ def evaluate_rfft(c: np.ndarray, x) -> np.ndarray:
     are summed as one complex GEMM of the coefficients, scaled by 2/n,
     against the baby steps z^1..z^J, and the A partial sums are folded by
     Horner in z^J: O(n len(x)) flops.  The points go through in blocks of
-    256, each with its own baby table, so the memory is O(sqrt(n)) per
-    block plus the real result.
+    256, each block freeing its tables before the next builds its own, so
+    the working set is at most one block's two tables, (J + A)*256 complex
+    values (188 kB at n = 1024), plus C and the result.
     """
     x = np.asarray(x, dtype=float)
     if np.ndim(c) != 1 or np.size(c) < 3:
@@ -298,6 +302,9 @@ def evaluate_rfft(c: np.ndarray, x) -> np.ndarray:
             s *= zJ
             s += partial[a]
         out[i:i + _BLOCK] = mean + s.real + nyquist * np.cos(np.pi * n * xb)
+        # free this block's tables (s is a view of partial) before the next
+        # block builds its baby table and GEMM, or three tables are alive
+        del s, partial, zJ
     # [()] makes a scalar x give a scalar, as a ufunc does
     return out.reshape(x.shape)[()]
 

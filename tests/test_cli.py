@@ -3,6 +3,7 @@ import json
 import math
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -132,7 +133,7 @@ def snapshot_steps(out, prefix):
           n=64, dt=1e-3, t_end=1, output_every=20, blowup_threshold=0.1005), 2,
      "blow-up suspected"),
     # the first step overflows to inf/NaN, which no threshold comparison
-    # passes (numpy warns of the overflow on the way)
+    # passes
     (dict(n=16, initial={"type": "trig", "cos": [1e300]}, blowup_threshold=1e308), 2,
      "blow-up suspected"),
 ], ids=["completed", "diffeo_lost", "blowup", "non_finite"])
@@ -149,6 +150,18 @@ def test_snapshots_match_diagnostics_rows(tmp_path, overrides, code, status):
     assert row_steps[-1] == summary["steps_completed"]
     assert snapshot_steps(out, "u") == row_steps
     assert snapshot_steps(out, "g") == (row_steps if summary["config"]["track_flow"] else [])
+
+
+def test_overflowing_run_is_flagged_without_numpy_warnings(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"n": 16, "initial": {"type": "trig", "cos": [1e300]},
+                               "blowup_threshold": 1e308}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["simulate", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert "blow-up suspected" in captured.out
+    assert captured.err == ""
 
 
 def test_rerun_clears_stale_snapshots(tmp_path):

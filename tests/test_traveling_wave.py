@@ -57,21 +57,21 @@ def traveling_wave(spec, b, eps, c):
     return coefficients(sol.x)
 
 
-def run_wave(spec, b, a, dt, track_flow=False):
+def run_wave(spec, b, a, dt, track_flow=False, dealias=True):
     """A mub run of the wave a from 0 to T at step dt, rows at 0 and T only."""
     cfg = dy.SimulationConfig(
         n=N, dt=dt, t_end=T_END, output_every=round(T_END / dt), form="mub", b=b,
         inertia=spec, initial={"type": "trig", "mean": float(a[0]),
                                "cos": a[1:RUN_MODES + 1].tolist()},
-        track_flow=track_flow)
+        dealias=dealias, track_flow=track_flow)
     res = dy.simulate(cfg)
     assert res.status == dy.STATUS_COMPLETED
     return res
 
 
-def translation_error(spec, b, a, c, dt):
+def translation_error(spec, b, a, c, dt, dealias=True):
     """max|u(T) - u0(x - c T)| / max|u0| of a mub run at step dt."""
-    res = run_wave(spec, b, a, dt)
+    res = run_wave(spec, b, a, dt, dealias=dealias)
     u0 = res.u_history[0]
     shift = np.exp(-2j * np.pi * np.arange(N // 2 + 1) * c * T_END)
     exact = np.fft.irfft(np.fft.rfft(u0) * shift, N)
@@ -94,15 +94,23 @@ def flow_error(spec, b, a, c, exact, dt):
     return np.max(np.abs(g - c * T_END - exact))
 
 
-@pytest.mark.parametrize("eps", [0.005, 0.02])
-@pytest.mark.parametrize("b", [2.0, 3.0, 2.5, -1.3])
-@pytest.mark.parametrize("operator", sorted(OPERATORS))
-def test_mub_run_translates_the_exact_traveling_wave(operator, b, eps):
+# the dealiased runs at four b, and the runs without dealiasing at three
+WAVE_CASES = [
+    *(pytest.param(operator, b, eps, True, id=f"{operator}-{b}-{eps}")
+      for operator in sorted(OPERATORS) for b in (2.0, 3.0, 2.5, -1.3) for eps in (0.005, 0.02)),
+    *(pytest.param(operator, b, eps, False, id=f"{operator}-{b}-{eps}-no_dealias")
+      for operator in sorted(OPERATORS) for b in (2.0, 3.0, -1.3) for eps in (0.005, 0.02)),
+]
+
+
+@pytest.mark.parametrize("operator, b, eps, dealias", WAVE_CASES)
+def test_mub_run_translates_the_exact_traveling_wave(operator, b, eps, dealias):
     spec, speed = OPERATORS[operator]
     c = speed(b)
     a = traveling_wave(spec, b, eps, c)
-    coarse, fine = (translation_error(spec, b, a, c, dt) for dt in (1e-3, 5e-4))
-    # measured: <= 1.7e-11, and a dt-halving ratio of 13.3 to 16.5 (RK4: 16)
+    coarse, fine = (translation_error(spec, b, a, c, dt, dealias) for dt in (1e-3, 5e-4))
+    # measured with and without dealiasing: <= 1.7e-11, and a dt-halving
+    # ratio of 13.3 to 16.5 (RK4: 16)
     assert coarse <= 1e-10
     assert 12.0 <= coarse / fine <= 20.0
 
