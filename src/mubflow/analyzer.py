@@ -15,9 +15,10 @@ checked are:
    that of the mean-minus-second-derivative operator.
 3. *Off-diagonal obstruction.*  A candidate coupling mode p to another
    mode is only periodic when b/(2 pi p) is a nonzero integer; chasing the
-   L2-symmetry of the operator through the coupled pair forces b = -2 p^2,
-   and replaying the velocity-form identity on that mode forces the
-   coupling coefficient to vanish -- a contradiction.
+   L2-symmetry of the operator through the coupled pair forces b = -2 p^2.
+   On u = e_p the velocity-form identity, in closed form, has the constant
+   term i p gamma on its left side and none on its right, so the coupling
+   coefficient gamma must vanish -- a contradiction.
 4. *Residual checks.*  The velocity-form and mu-b right-hand sides must
    coincide for the candidate operator; their sup-norm mismatch on trial
    modes is a direct numeric witness.  All trial modes go through the
@@ -168,40 +169,6 @@ def multiplier_consistency(b: float, k: int = 1) -> ConsistencyCheck:
                             passed=normalized <= INTEGRALITY_TOL)
 
 
-# mode-coefficient algebra on sparse {k: coeff} maps (wavenumber n = 2 pi k)
-
-def _madd(*terms):
-    out: dict[int, complex] = {}
-    for t in terms:
-        for k, c in t.items():
-            out[k] = out.get(k, 0.0j) + c
-    return out
-
-
-def _mscale(t, a):
-    return {k: a * c for k, c in t.items()}
-
-
-def _mmul(f, g):
-    out: dict[int, complex] = {}
-    for kf, cf in f.items():
-        for kg, cg in g.items():
-            out[kf + kg] = out.get(kf + kg, 0.0j) + cf * cg
-    return out
-
-
-def _mdx(f):
-    return {k: (1j * TWO_PI * k) * c for k, c in f.items()}
-
-
-def _m_mu_dxx(f):
-    return {k: (1.0 if k == 0 else (TWO_PI * k) ** 2) * c for k, c in f.items()}
-
-
-def _m_mu_dxx_inv(f):
-    return {k: c / (1.0 if k == 0 else (TWO_PI * k) ** 2) for k, c in f.items()}
-
-
 @dataclass
 class OffdiagonalProbe:
     """Outcome of probing one coupled mode p = 2 pi k."""
@@ -218,42 +185,35 @@ class OffdiagonalProbe:
 
 
 def _replay_contradiction(b: float, k: int) -> dict:
-    # hypothesize a unit coupling gamma on mode p = 2 pi k (so the operator
-    # sends e_p to gamma e_{-p} + beta_p e_p with the forced beta_p = -1),
-    # evaluate both resolved right-hand sides on u = e_p, and read off the
-    # coefficient equation on the constant mode
+    # Hypothesize a unit coupling gamma on mode p = 2 pi k: A e_p =
+    # gamma e_{-p} + beta_p e_p (beta_p = -1 at b = -2 p^2), e_{2p} is an
+    # eigenvector with symbol beta_2p and A is normalized on constants.
+    # Replay A^{-1}(2(Au)u_x + u(Au)_x) = L^{-1}(b(Lu)u_x + u(Lu)_x),
+    # L = mu - d_xx, on u = e_p, where u_x = ip e_p and Lu = p^2 e_p:
+    # - left: 2 ip (gamma + beta_p e_{2p}) + e_p (ip beta_p e_p - ip gamma e_{-p})
+    #   = ip gamma + 3 ip beta_p e_{2p}, and A^{-1} divides mode 2p by beta_2p;
+    # - right: (b + 1) ip p^2 e_{2p}, and L^{-1} divides it by (2p)^2, which
+    #   leaves ip (b + 1)/4 e_{2p} (rounded as b p^3 + p^3 first) and no
+    #   constant term.
+    # So the constant-mode equation ip gamma = 0 forces the coupling to zero.
     p = TWO_PI * k
     gamma = 1.0 + 0.0j
     beta_p = diagonal_symbol(b, k)       # equals -1 when b = -2 p^2
     beta_2p = diagonal_symbol(b, 2 * k)  # the partner stays uncoupled
-    u = {k: 1.0 + 0.0j}
-    au = {-k: gamma, k: beta_p}
-    lhs_num = _madd(_mscale(_mmul(au, _mdx(u)), 2.0), _mmul(u, _mdx(au)))
-    # invert the hypothesized operator on the span that arises: constants
-    # respond with factor 1 (normalized), mode 2p is an eigenvector
-    lhs = {}
-    for q, c in lhs_num.items():
-        if q == 0:
-            lhs[q] = c
-        elif q == 2 * k:
-            lhs[q] = c / beta_2p
-        else:
-            raise AssertionError(f"unexpected mode {q} in the replay")
-    lu = _m_mu_dxx(u)
-    rhs = _m_mu_dxx_inv(_madd(_mscale(_mmul(lu, _mdx(u)), b), _mmul(u, _mdx(lu))))
-    const_lhs = lhs.get(0, 0.0j)         # equals i p gamma
-    const_rhs = rhs.get(0, 0.0j)         # identically zero
+    p3 = p ** 2 * p
+    const_lhs = 1j * p * gamma
+    const_rhs = 0.0j
     solved_gamma = const_rhs / (1j * p)  # what the coefficient equation allows
     return {
         "p": p,
         "beta_p": beta_p,
         "beta_2p": beta_2p,
-        "const_coeff_lhs": complex(const_lhs),
-        "const_coeff_rhs": complex(const_rhs),
-        "mode2p_coeff_lhs": complex(lhs.get(2 * k, 0.0j)),
-        "mode2p_coeff_rhs": complex(rhs.get(2 * k, 0.0j)),
-        "hypothesized_gamma": complex(gamma),
-        "solved_gamma": complex(solved_gamma),
+        "const_coeff_lhs": const_lhs,
+        "const_coeff_rhs": const_rhs,
+        "mode2p_coeff_lhs": 3j * (p * beta_p) / beta_2p,
+        "mode2p_coeff_rhs": 1j * (b * p3 + p3) / (2.0 * p) ** 2,
+        "hypothesized_gamma": gamma,
+        "solved_gamma": solved_gamma,
         "inconsistency": abs(const_lhs - const_rhs),   # = p |gamma| for the unit hypothesis
         "gamma_forced_zero": abs(p * solved_gamma) <= 1e-10 * abs(gamma),
     }

@@ -6,8 +6,8 @@ snapshot files and a JSON run summary; files are written to a temporary
 name and renamed so aborted runs never leave partial CSVs.
 
 Exit codes: 0 success / run completed, 1 invalid configuration or
-arguments, 2 run flagged (blow-up suspected, diffeomorphism lost) or a
-check failed.
+arguments (a malformed command line included), 2 run flagged (blow-up
+suspected, diffeomorphism lost) or a check failed.
 """
 
 from __future__ import annotations
@@ -33,8 +33,6 @@ _SNAPSHOT_BLOCK = 512
 
 
 def _fmt(x: float) -> str:
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
     return format(float(x), ".17g")
 
 
@@ -232,8 +230,19 @@ def _bad_argument(args) -> str | None:
     return None
 
 
+class _ParseError(Exception):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    # a malformed command line is invalid arguments: exit 1 with one line,
+    # not argparse's usage text and exit 2, which reads as a failed check
+    def error(self, message):
+        raise _ParseError(message.removeprefix("argument "))
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mubflow",
         description="Pseudospectral solver and metric-compatibility analyzer "
                     "for the mu-b family on the circle (period-1 convention).")
@@ -269,7 +278,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=float, required=True)
     p.add_argument("--mode", type=int, required=True)
     p.add_argument("--n", type=int, default=256)
-    p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=_cmd_residual,
                    limits={"b": _FINITE, "mode": (lambda v: v != 0, "must be a nonzero integer"),
                            "n": _GRID})
@@ -282,7 +290,11 @@ _PARSER = _build_parser()
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    try:
+        args = _PARSER.parse_args(argv)
+    except _ParseError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     error = _bad_argument(args)
     if error:
         print(f"error: {error}", file=sys.stderr)

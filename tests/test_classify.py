@@ -191,6 +191,42 @@ def test_offdiagonal_contradiction_trace():
     assert scan.all_ruled_out
 
 
+@pytest.mark.parametrize("k", [1, 2, -1])
+def test_offdiagonal_replay_matches_a_symbolic_expansion(k):
+    # expand both sides on u = e^{ipx} from scratch, at b = -2 p^2 with
+    # A e_p = gamma e_{-p} + beta_p e_p, and read the constant and e^{2ipx}
+    # coefficients as Fourier integrals over [0, 1]
+    import sympy
+    x, gamma = sympy.symbols("x gamma")
+    p = 2 * sympy.pi * k
+    b = -2 * p ** 2
+    beta_p, beta_2p = 2 * p ** 2 / b, 2 * (2 * p) ** 2 / b   # forced symbols 2 n^2 / b
+    u = sympy.exp(sympy.I * p * x)
+    au = gamma * sympy.exp(-sympy.I * p * x) + beta_p * u
+    lu = sympy.integrate(u, (x, 0, 1)) - sympy.diff(u, x, 2)   # mu - d_xx
+    lhs = 2 * au * sympy.diff(u, x) + u * sympy.diff(au, x)
+    rhs = b * lu * sympy.diff(u, x) + u * sympy.diff(lu, x)
+
+    def coeff(f, m):
+        return sympy.integrate(sympy.expand(f * sympy.exp(-sympy.I * m * p * x)), (x, 0, 1))
+
+    # A is normalized on constants and has e_{2p} as an eigenvector; L^{-1}
+    # divides mode 2p by (2p)^2
+    const_lhs, const_rhs = coeff(lhs, 0), coeff(rhs, 0)
+    (solved_gamma,) = sympy.solve(sympy.Eq(const_lhs, const_rhs), gamma)
+    expected = {
+        "const_coeff_lhs": const_lhs.subs(gamma, 1),
+        "const_coeff_rhs": const_rhs.subs(gamma, 1),
+        "mode2p_coeff_lhs": (coeff(lhs, 2) / beta_2p).subs(gamma, 1),
+        "mode2p_coeff_rhs": (coeff(rhs, 2) / (2 * p) ** 2).subs(gamma, 1),
+        "solved_gamma": solved_gamma,
+        "inconsistency": sympy.Abs(const_lhs - const_rhs).subs(gamma, 1),
+    }
+    replay = cl._replay_contradiction(float(b), k)
+    for key, value in expected.items():
+        assert replay[key] == pytest.approx(complex(value), rel=1e-12, abs=0), key
+
+
 def test_offdiagonal_admissible_but_chain_broken():
     # at b = -8 pi^2 mode k = 2 passes the integrality test but its partner
     # does not map back, so the coupling is ruled out without a replay

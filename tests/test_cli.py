@@ -505,6 +505,13 @@ def test_residual_rejects_zero_mode(capsys):
     (["check-inverse", "--n", "1099511627776"], "--n"),
     (["residual", "--b", "3", "--mode", "1", "--n", "1099511627776"], "--n"),
     (["check-inverse", "--trials", "10001", "--n", "4"], "--trials"),
+    # values argparse cannot parse
+    (["classify", "--b", "abc"], "--b"),
+    (["classify", "--b", "1", "--max-k", "x"], "--max-k"),
+    (["residual", "--b", "2", "--mode", "one"], "--mode"),
+    (["check-inverse", "--n", "2.5"], "--n"),
+    (["check-inverse", "--seed", ""], "--seed"),
+    (["classify", "--out", "o", "--b"], "--b"),
 ])
 def test_bad_argument_exits_1_naming_the_flag(tmp_path, capsys, argv, flag):
     out = tmp_path / "report"
@@ -513,7 +520,31 @@ def test_bad_argument_exits_1_naming_the_flag(tmp_path, capsys, argv, flag):
     assert cli.main(argv) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {flag}: ") and not captured.out
+    assert captured.err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["classify"], "the following arguments are required: --b"),
+    (["check-inverse", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    (["residual", "--b", "2", "--mode", "1", "--quiet"], "unrecognized arguments: --quiet"),
+    (["frobnicate"], "command: invalid choice: 'frobnicate'"),
+    ([], "the following arguments are required: command"),
+])
+def test_malformed_command_line_exits_1_with_one_line(capsys, argv, message):
+    # argparse's own errors keep the exit-1 contract, without its usage text
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {message}") and not captured.out
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["classify", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: mubflow")
 
 
 @pytest.mark.parametrize("n", ["4", "6", "8", "1024"])
