@@ -3,8 +3,9 @@
 Decides, for a given parameter b, whether the mu-b dynamics can arise as
 the geodesic flow of a right-invariant metric induced by some regular
 (symmetric Fourier-multiplier) inertia operator, and produces numeric
-witnesses for the obstructions when it cannot.  The necessary conditions
-checked are:
+witnesses for the obstructions when it cannot.  Each necessary condition
+returns the ``CheckOutcome`` (name, passed, witness, detail) that the
+report prints, and ``classify`` orders them.  The conditions checked are:
 
 1. *Secular obstruction.*  At b = 0 the per-mode response ODE is resonant;
    every candidate image of a Fourier mode grows linearly in x and cannot
@@ -18,7 +19,8 @@ checked are:
    L2-symmetry of the operator through the coupled pair forces b = -2 p^2.
    On u = e_p the velocity-form identity, in closed form, has the constant
    term i p gamma on its left side and none on its right, so the coupling
-   coefficient gamma must vanish -- a contradiction.
+   coefficient gamma must vanish -- a contradiction.  The scan keeps its
+   probes; its report entry is ``OffdiagonalScan.outcome``.
 4. *Residual checks.*  The velocity-form and mu-b right-hand sides must
    coincide for the candidate operator; their sup-norm mismatch on trial
    modes is a direct numeric witness.  All trial modes go through the
@@ -44,9 +46,7 @@ __all__ = [
     "diagonal_symbol",
     "euler_mub_residual",
     "shift_limit_residual",
-    "SecularCheck",
     "secular_obstruction",
-    "ConsistencyCheck",
     "multiplier_consistency",
     "OffdiagonalProbe",
     "OffdiagonalScan",
@@ -62,6 +62,7 @@ __all__ = [
 INTEGRALITY_TOL = 1e-9
 RESIDUAL_TOL = 1e-9
 SECULAR_TOL = 1e-12
+TRIAL_GRID = 64   # grid points of classify's trial modes; cosine modes up to 31 resolve
 
 
 def homogeneous_wavenumber(b: float, k: int) -> float:
@@ -126,47 +127,47 @@ def shift_limit_residual(spec: InertiaSpec, b: float, u: np.ndarray) -> float:
 
 
 @dataclass
-class SecularCheck:
-    b: float
-    secular: bool
-    forced_symbols: dict[int, float] | None   # {k: 2 n^2 / b} when non-resonant
+class CheckOutcome:
+    name: str
+    passed: bool | None          # None marks a check not applicable at this b
+    witness: float | None
+    detail: str = ""
+
+    def to_dict(self) -> dict:
+        return {"name": self.name, "passed": self.passed,
+                "witness": self.witness, "detail": self.detail}
 
 
-def secular_obstruction(b: float, max_k: int = 8) -> SecularCheck:
-    """Detect the resonant case b = 0; otherwise report the forced symbols.
+def secular_obstruction(b: float) -> CheckOutcome:
+    """Detect the resonant case b = 0; the witness is |b| / (2 pi).
 
     At b = 0 the homogeneous wavenumber collapses onto the forcing mode and
     every solution of the response ODE grows linearly in x, so no periodic
-    operator image exists for any mode.
+    operator image exists for any mode; elsewhere see ``diagonal_symbol``.
     """
-    if abs(b) <= SECULAR_TOL:
-        return SecularCheck(b=b, secular=True, forced_symbols=None)
-    return SecularCheck(
-        b=b, secular=False,
-        forced_symbols={k: diagonal_symbol(b, k) for k in range(1, max_k + 1)})
+    secular = abs(b) <= SECULAR_TOL
+    return CheckOutcome(
+        name="secular_obstruction", passed=not secular, witness=abs(b) / TWO_PI,
+        detail=("resonant: every candidate mode image grows linearly in x, "
+                "no periodic solution" if secular
+                else "non-resonant: periodic particular solutions exist"))
 
 
-@dataclass
-class ConsistencyCheck:
-    b: float
-    residual: float             # |12 s_n - (b+1) s_2n| at the reference mode
-    normalized_residual: float  # |24 - 8 (b+1)|, mode-independent
-    passed: bool
-
-
-def multiplier_consistency(b: float, k: int = 1) -> ConsistencyCheck:
+def multiplier_consistency(b: float) -> CheckOutcome:
     """Cross-mode compatibility of the forced diagonal symbols.
 
     The quadratic term couples mode n to mode 2n; matching coefficients on
     both dynamics requires 12 s_n = (b+1) s_2n.  Substituting the forced
     symbol 2 n^2 / b reduces the gap to (24 - 8 (b+1)) n^2 / b, whose
-    mode-independent factor |24 - 8 (b+1)| = 8 |b - 2| vanishes only at
-    b = 2, where the forced symbols become exactly n^2.
+    mode-independent factor |24 - 8 (b+1)| = 8 |b - 2| is the witness; it
+    vanishes only at b = 2, where the forced symbols become exactly n^2.
     """
     normalized = abs(24.0 - 8.0 * (b + 1.0))
-    residual = abs(12.0 * diagonal_symbol(b, k) - (b + 1.0) * diagonal_symbol(b, 2 * k))
-    return ConsistencyCheck(b=b, residual=residual, normalized_residual=normalized,
-                            passed=normalized <= INTEGRALITY_TOL)
+    residual = abs(12.0 * diagonal_symbol(b, 1) - (b + 1.0) * diagonal_symbol(b, 2))
+    return CheckOutcome(
+        name="multiplier_consistency", passed=normalized <= INTEGRALITY_TOL,
+        witness=normalized,
+        detail=f"|24 - 8(b+1)| = {normalized:.6g}; mode-1 residual {residual:.6g}")
 
 
 @dataclass
@@ -178,8 +179,6 @@ class OffdiagonalProbe:
     ratio: float                 # b / (2 pi p); must be a nonzero integer
     admissible: bool             # periodicity of the coupled image
     gamma_forced_zero: bool = True
-    chain_wavenumber: float | None = None   # homogeneous wavenumber of mode p
-    chain_back: float | None = None         # homogeneous wavenumber of the partner mode
     chain_holds: bool = False               # partner maps back onto p (forces b = -2 p^2)
     replay: dict | None = None              # numeric trace of the contradiction
 
@@ -239,16 +238,11 @@ def offdiagonal_obstruction(b: float, max_k: int = 8) -> "OffdiagonalScan":
         admissible = abs(ratio - j) <= INTEGRALITY_TOL and j != 0
         probe = OffdiagonalProbe(k=k, p=p, ratio=ratio, admissible=admissible)
         if admissible:
-            alpha_p = homogeneous_wavenumber(b, k)           # = 2 pi (j + k)
-            partner = j + k                                  # integer mode index of the image
-            probe.chain_wavenumber = alpha_p
-            if partner == 0:
-                # image would be the constant mode; symmetry chain cannot close
-                probe.chain_holds = False
-            else:
-                alpha_m = homogeneous_wavenumber(b, partner)
-                probe.chain_back = alpha_m
-                probe.chain_holds = abs(alpha_m - p) <= INTEGRALITY_TOL * max(1.0, abs(p))
+            # the image of e_p oscillates at 2 pi (j + k); a constant image
+            # (partner 0) cannot close the symmetry chain
+            partner = j + k
+            probe.chain_holds = partner != 0 and (
+                abs(homogeneous_wavenumber(b, partner) - p) <= INTEGRALITY_TOL * max(1.0, abs(p)))
             if probe.chain_holds:
                 # closing the chain forces b = -2 p^2; replay the identity there
                 probe.replay = _replay_contradiction(b, k)
@@ -274,17 +268,10 @@ class OffdiagonalScan:
     conclusion: str
     all_ruled_out: bool
 
-
-@dataclass
-class CheckOutcome:
-    name: str
-    passed: bool | None          # None marks a check not applicable at this b
-    witness: float | None
-    detail: str = ""
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed,
-                "witness": self.witness, "detail": self.detail}
+    @property
+    def outcome(self) -> CheckOutcome:   # witness: how many modes the replay ruled out
+        return CheckOutcome("offdiagonal_obstruction", self.all_ruled_out,
+                            float(len(self.contradiction_modes)), self.conclusion)
 
 
 @dataclass
@@ -322,51 +309,28 @@ def json_text(value, step: str = "  ", indent: str = "") -> str:
     return json.dumps(value)
 
 
-def classify(b: float, max_k: int = 8, trial_modes: int = 6,
-             n: int = 64) -> ClassificationReport:
+def classify(b: float, max_k: int = 8, trial_modes: int = 6) -> ClassificationReport:
     """Full metric-compatibility report for the mu-b dynamics at parameter b.
 
-    Runs the secular, multiplier-consistency and off-diagonal checks plus
-    the direct right-hand-side residual with the mean-minus-second-
-    derivative operator on cosine trial modes.  The verdict is "metric"
-    exactly when every necessary condition passes, and then the unique
-    operator symbol is reported.
+    Orders the secular, multiplier-consistency and off-diagonal outcomes
+    and adds the direct right-hand-side residual with the mean-minus-
+    second-derivative operator on cosine trial modes.  The verdict is
+    "metric" exactly when every necessary condition passes, and then the
+    unique operator symbol is reported.
     """
-    checks: list[CheckOutcome] = []
-    sec = secular_obstruction(b, max_k)
-    checks.append(CheckOutcome(
-        name="secular_obstruction",
-        passed=not sec.secular,
-        witness=abs(b) / TWO_PI,
-        detail=("resonant: every candidate mode image grows linearly in x, "
-                "no periodic solution" if sec.secular
-                else "non-resonant: periodic particular solutions exist")))
-
-    if sec.secular:
-        for name in ("multiplier_consistency", "offdiagonal_obstruction", "rhs_residual"):
-            checks.append(CheckOutcome(name=name, passed=None, witness=None,
-                                       detail="not applicable in the resonant case"))
+    b = float(b)
+    checks = [secular_obstruction(b)]
+    if not checks[0].passed:
+        checks += [CheckOutcome(name=name, passed=None, witness=None,
+                                detail="not applicable in the resonant case")
+                   for name in ("multiplier_consistency", "offdiagonal_obstruction", "rhs_residual")]
         return ClassificationReport(b=b, verdict="non-metric", inertia=None,
                                     reason="secular_obstruction", checks=checks)
 
-    mc = multiplier_consistency(b)
-    checks.append(CheckOutcome(
-        name="multiplier_consistency",
-        passed=mc.passed,
-        witness=mc.normalized_residual,
-        detail=f"|24 - 8(b+1)| = {mc.normalized_residual:.6g}; "
-               f"mode-1 residual {mc.residual:.6g}"))
-
-    od = offdiagonal_obstruction(b, max_k)
-    checks.append(CheckOutcome(
-        name="offdiagonal_obstruction",
-        passed=od.all_ruled_out,
-        witness=float(len(od.contradiction_modes)),
-        detail=od.conclusion))
-
-    # row k - 1 is cos(2 pi k x), bit for bit trig_field(n, 0, [0]*(k-1) + [1])
+    checks += [multiplier_consistency(b), offdiagonal_obstruction(b, max_k).outcome]
+    # row k - 1 is cos(2 pi k x), bit for bit trig_field(TRIAL_GRID, 0, [0]*(k-1) + [1])
     modes = np.arange(1, trial_modes + 1)
-    trials = np.cos(np.multiply.outer(TWO_PI * modes, spectral.grid(n)))
+    trials = np.cos(np.multiply.outer(TWO_PI * modes, spectral.grid(TRIAL_GRID)))
     residuals = dict(zip(modes.tolist(),
                          euler_mub_residual(inertia.MU_MINUS_DXX, b, trials).tolist()))
     worst = max(residuals.values())
@@ -378,8 +342,7 @@ def classify(b: float, max_k: int = 8, trial_modes: int = 6,
                f"worst {worst:.6g} at mode "
                f"{max(residuals, key=residuals.get)}"))
 
-    metric = all(c.passed for c in checks)
-    if metric:
+    if all(c.passed for c in checks):
         return ClassificationReport(
             b=b, verdict="metric",
             inertia={"kind": "mu_minus_dxx",

@@ -215,9 +215,9 @@ def _cmd_residual(args) -> int:
 _FINITE = (math.isfinite, "must be a finite real number")
 _GRID = (lambda v: 4 <= v <= dynamics.MAX_N and v % 2 == 0,
          f"must be an even integer from 4 to {dynamics.MAX_N}")
-# classify's trial fields live on a 64-point grid, below its Nyquist mode 32
+# classify's trial fields live on analyzer.TRIAL_GRID = 64 points, below its Nyquist mode 32
 _TRIAL_MODES = (lambda v: 1 <= v <= 31, "must be an integer from 1 to 31")
-# the secular and off-diagonal scans build O(max_k) Python objects, and
+# the off-diagonal scan builds O(max_k) Python objects, and
 # check-inverse's run time is linear in --trials
 _UP_TO_10000 = (lambda v: 1 <= v <= 10000, "must be an integer from 1 to 10000")
 

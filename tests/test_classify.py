@@ -113,29 +113,35 @@ def test_shift_limit_requires_normalized_operator():
 # secular check ---------------------------------------------------------------
 
 def test_secular_only_at_zero():
-    assert cl.secular_obstruction(0.0).secular
+    chk = cl.secular_obstruction(0.0)
+    assert chk.passed is False and chk.witness == 0.0
+    assert chk.detail.startswith("resonant")
     for b in (2.0, 3.0, -1.0):
         chk = cl.secular_obstruction(b)
-        assert not chk.secular
-        assert chk.forced_symbols[1] == pytest.approx(2.0 * TWO_PI ** 2 / b)
+        assert chk.passed is True
+        assert chk.witness == abs(b) / TWO_PI
+        assert chk.detail.startswith("non-resonant")
+        assert cl.diagonal_symbol(b, 1) == pytest.approx(2.0 * TWO_PI ** 2 / b)
 
 
 def test_secular_betas_for_b3():
-    chk = cl.secular_obstruction(3.0)
-    assert chk.forced_symbols[1] == pytest.approx(2.0 * TWO_PI ** 2 / 3.0, rel=1e-15)
+    assert cl.secular_obstruction(3.0).passed
+    assert cl.diagonal_symbol(3.0, 1) == pytest.approx(2.0 * TWO_PI ** 2 / 3.0, rel=1e-15)
 
 
 # multiplier consistency --------------------------------------------------------
 
 def test_multiplier_consistency_passes_only_at_two():
     assert cl.multiplier_consistency(2.0).passed
-    assert cl.multiplier_consistency(2.0).normalized_residual == 0.0
+    assert cl.multiplier_consistency(2.0).witness == 0.0
     chk = cl.multiplier_consistency(3.0)
     assert not chk.passed
-    # arithmetic oracle: |24 - 8 (b+1)| = 8 at b = 3, and the raw residual
-    # carries the n^2 / b factor
-    assert chk.normalized_residual == pytest.approx(8.0, rel=1e-14)
-    assert chk.residual == pytest.approx(8.0 * TWO_PI ** 2 / 3.0, rel=1e-12)
+    # arithmetic oracle: |24 - 8 (b+1)| = 8 at b = 3, and the raw mode-1
+    # residual |12 s_1 - (b+1) s_2| carries the n^2 / b factor
+    assert chk.witness == pytest.approx(8.0, rel=1e-14)
+    residual = abs(12.0 * cl.diagonal_symbol(3.0, 1) - 4.0 * cl.diagonal_symbol(3.0, 2))
+    assert residual == pytest.approx(8.0 * TWO_PI ** 2 / 3.0, rel=1e-12)
+    assert chk.detail == f"|24 - 8(b+1)| = 8; mode-1 residual {residual:.6g}"
 
 
 def test_multiplier_consistency_unique_zero_on_grid():
@@ -153,7 +159,7 @@ def test_multiplier_consistency_unique_zero_on_grid():
 def test_multiplier_consistency_scaled_residual_is_exact():
     for b in (-3.0, 1.0, 2.0, 5.5):
         chk = cl.multiplier_consistency(b)
-        assert chk.normalized_residual == abs(24.0 - 8.0 * (b + 1.0))
+        assert chk.witness == abs(24.0 - 8.0 * (b + 1.0))
 
 
 # off-diagonal scan ---------------------------------------------------------------
@@ -313,6 +319,25 @@ def test_report_serializes_to_json():
     data = json.loads(report.to_json())
     assert data["verdict"] == "non-metric"
     assert data["checks"][0]["name"] == "secular_obstruction"
+
+
+def test_classify_numpy_scalar_b_serializes_like_a_float():
+    for b in (0.0, 2.0, 3.0):
+        assert cl.classify(np.float64(b)).to_json() == cl.classify(b).to_json()
+
+
+def test_report_checks_are_the_check_functions_outcomes():
+    # classify adds no formatting of its own to the first three checks
+    rng = np.random.default_rng(31)
+    for b in [2.0, 3.0, -2.0, -8.0 * PI ** 2, 1e300, *rng.uniform(-10.0, 10.0, 8).tolist()]:
+        with np.errstate(over="ignore", invalid="ignore"):
+            checks = cl.classify(b).checks
+        assert [c.name for c in checks] == ["secular_obstruction", "multiplier_consistency",
+                                            "offdiagonal_obstruction", "rhs_residual"]
+        assert checks[0] == cl.secular_obstruction(b)
+        assert checks[1] == cl.multiplier_consistency(b)
+        assert checks[2] == cl.offdiagonal_obstruction(b).outcome
+    assert cl.classify(0.0).checks[0] == cl.secular_obstruction(0.0)
 
 
 def test_classify_passes_every_trial_mode_in_one_stack(monkeypatch):
